@@ -168,7 +168,7 @@ func main() {
 }
 
 func emitJSON(res *rustprobe.Result, findings []rustprobe.Finding) {
-	out := toJSONFindings(res, findings)
+	out := rustprobe.ResolveFindings(res.Fset, findings)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {

@@ -347,11 +347,19 @@ func (s *server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		var synErr *rustprobe.SyntaxError
+		var panicErr *rustprobe.PanicError
 		switch {
 		case errors.Is(err, sessionpool.ErrNoSession):
 			writeError(w, http.StatusConflict, "no live session for this repo; push the full file map", "")
 		case errors.As(err, &synErr):
 			writeError(w, http.StatusUnprocessableEntity, "sources failed to parse or resolve", synErr.Diags)
+		case errors.As(err, &panicErr):
+			// The pool dropped the repo's session; the daemon and every
+			// other session are intact. Stack goes to the log, not the
+			// client.
+			log.Printf("rustprobed: req=%s session push panicked: %v\n%s",
+				requestID(r.Context()), panicErr, panicErr.Stack)
+			writeError(w, http.StatusInternalServerError, "internal error: analysis pass panicked", "")
 		case errors.Is(err, sessionpool.ErrClosed):
 			writeError(w, http.StatusServiceUnavailable, "server is shutting down", "")
 		case errors.Is(err, context.DeadlineExceeded):

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -24,6 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,14 +131,7 @@ func batchOracle(t *testing.T, url string, files map[string]string) map[string][
 		if entry.Error != "" {
 			t.Fatalf("oracle batch: %s failed: %s", name, entry.Error)
 		}
-		fs := make([]incrstate.Finding, 0, len(entry.Findings))
-		for _, f := range entry.Findings {
-			fs = append(fs, incrstate.Finding{
-				Kind: f.Kind, Severity: f.Severity, Function: f.Function,
-				File: f.File, Line: f.Line, Column: f.Column, Message: f.Message, Notes: f.Notes,
-			})
-		}
-		out[name] = fs
+		out[name] = entry.Findings
 	}
 	return out
 }
@@ -275,6 +270,64 @@ func TestSessionEndpointErrors(t *testing.T) {
 // TestSessionStatsAndMetrics: pool counters surface under the stats
 // "sessions" key and as rustprobed_session_* series; a daemon without
 // the session service exposes neither.
+// TestServerSessionPushPanic500: a panic during a session push maps to a
+// 500 with the stack logged server-side, and neither the daemon nor the
+// repo is left broken: /healthz answers and the next push succeeds.
+func TestServerSessionPushPanic500(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 2})
+	var boom atomic.Bool
+	boom.Store(true)
+	pool := sessionpool.New(sessionpool.Config{TestRoundHook: func(string) func() {
+		if boom.Load() {
+			panic("injected session panic")
+		}
+		return func() {}
+	}})
+	srv := httptest.NewServer(newServer(eng, serverOptions{timeout: 30 * time.Second, pool: pool}))
+	defer srv.Close()
+	defer pool.Close()
+	defer eng.Close()
+
+	var logBuf bytes.Buffer
+	log.SetOutput(&logBuf)
+	defer log.SetOutput(os.Stderr)
+
+	body, err := json.Marshal(sessionPushRequest{Files: sessionBaseTree()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postSessionPush(t, srv.URL, "acme%2Fapp", string(body))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking push status = %d, want 500: %s", resp.StatusCode, raw)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Error != "internal error: analysis pass panicked" {
+		t.Errorf("error payload = %+v", e)
+	}
+	logged := logBuf.String()
+	if !strings.Contains(logged, "injected session panic") || !strings.Contains(logged, resp.Header.Get("X-Request-ID")) {
+		t.Errorf("panic not logged with its request ID: %q", logged)
+	}
+
+	h, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Body.Close()
+	if h.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the panic = %d", h.StatusCode)
+	}
+	boom.Store(false)
+	out := pushOK(t, srv.URL, "acme%2Fapp", sessionPushRequest{Files: sessionBaseTree()})
+	if !out.Stats.Full || out.Stats.SessionHit {
+		t.Errorf("push after the panic reused the dropped session: %+v", out.Stats)
+	}
+	requireEquivalent(t, srv.URL, sessionBaseTree(), out.Findings, "push after the panic")
+}
+
 func TestSessionStatsAndMetrics(t *testing.T) {
 	srv, _ := newSessionServer(t, nil)
 	pushOK(t, srv.URL, "m", sessionPushRequest{Files: sessionBaseTree()})

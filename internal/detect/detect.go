@@ -23,16 +23,15 @@ type Kind string
 
 // Finding kinds.
 const (
-	KindUseAfterFree   Kind = "use-after-free"
-	KindDoubleLock     Kind = "double-lock"
-	KindLockOrder      Kind = "conflicting-lock-order"
-	KindDoubleFree     Kind = "double-free"
-	KindInvalidFree    Kind = "invalid-free"
-	KindUninitRead     Kind = "uninitialized-read"
-	KindInteriorMut    Kind = "unsynchronized-interior-mutability"
-	KindBorrowConflict Kind = "borrow-conflict"
-	KindDataRace       Kind = "data-race"
-	KindBlocking       Kind = "blocking"
+	KindUseAfterFree Kind = "use-after-free"
+	KindDoubleLock   Kind = "double-lock"
+	KindLockOrder    Kind = "conflicting-lock-order"
+	KindDoubleFree   Kind = "double-free"
+	KindInvalidFree  Kind = "invalid-free"
+	KindUninitRead   Kind = "uninitialized-read"
+	KindInteriorMut  Kind = "unsynchronized-interior-mutability"
+	KindDataRace     Kind = "data-race"
+	KindBlocking     Kind = "blocking"
 )
 
 // Severity ranks findings.

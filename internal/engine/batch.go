@@ -51,15 +51,7 @@ type BatchEntry struct {
 
 func (e *BatchEntry) clone() *BatchEntry {
 	out := *e
-	if e.Findings != nil {
-		out.Findings = make([]Finding, len(e.Findings))
-		copy(out.Findings, e.Findings)
-		for i := range out.Findings {
-			if notes := out.Findings[i].Notes; notes != nil {
-				out.Findings[i].Notes = append([]string(nil), notes...)
-			}
-		}
-	}
+	out.Findings = cloneFindings(e.Findings)
 	return &out
 }
 

@@ -23,6 +23,7 @@ import (
 	"rustprobe"
 	"rustprobe/internal/corpus"
 	"rustprobe/internal/detect"
+	"rustprobe/internal/incrstate"
 	"rustprobe/internal/source"
 	"rustprobe/internal/store"
 )
@@ -80,17 +81,9 @@ type Request struct {
 }
 
 // Finding is a fully resolved, serializable detector report (positions
-// are materialized so cached responses need no FileSet).
-type Finding struct {
-	Kind     string   `json:"kind"`
-	Severity string   `json:"severity"`
-	Function string   `json:"function"`
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Column   int      `json:"column"`
-	Message  string   `json:"message"`
-	Notes    []string `json:"notes,omitempty"`
-}
+// are materialized so cached responses need no FileSet). It is the
+// shared resolved shape that session pushes and persisted state use too.
+type Finding = incrstate.Finding
 
 // UnsafeSummary condenses the §4 unsafe-usage scan of the analyzed code.
 type UnsafeSummary struct {
@@ -119,16 +112,24 @@ type Response struct {
 // cached/singleflighted value.
 func (r *Response) clone() *Response {
 	out := *r
-	if r.Findings != nil {
-		out.Findings = make([]Finding, len(r.Findings))
-		copy(out.Findings, r.Findings)
-		for i := range out.Findings {
-			if notes := out.Findings[i].Notes; notes != nil {
-				out.Findings[i].Notes = append([]string(nil), notes...)
-			}
+	out.Findings = cloneFindings(r.Findings)
+	return &out
+}
+
+// cloneFindings deep-copies findings for clone: a fresh slice (nil stays
+// nil) and fresh Notes backing arrays.
+func cloneFindings(fs []Finding) []Finding {
+	if fs == nil {
+		return nil
+	}
+	out := make([]Finding, len(fs))
+	copy(out, fs)
+	for i := range out {
+		if notes := out[i].Notes; notes != nil {
+			out[i].Notes = append([]string(nil), notes...)
 		}
 	}
-	return &out
+	return out
 }
 
 // RequestError reports an invalid request (bad shape, unknown corpus
@@ -390,7 +391,7 @@ func (e *Engine) run(j *job) {
 		e.ctr.scanNs.Add(int64(time.Since(t)))
 	}()
 	t := time.Now()
-	findings, times, derr := res.DetectParallelTimedCtx(j.ctx, j.req.Detectors...)
+	findings, times, derr := res.DetectContext(j.ctx, j.req.Detectors...)
 	e.ctr.detectNs.Add(int64(time.Since(t)))
 	e.ctr.addDetectorTimes(times)
 	<-scanDone
@@ -544,21 +545,7 @@ func (r Request) Key() string {
 }
 
 // FindingsFrom resolves detector findings against fset into the
-// serializable engine shape.
+// serializable engine shape (rustprobe.ResolveFindings).
 func FindingsFrom(fset *source.FileSet, fs []detect.Finding) []Finding {
-	out := make([]Finding, 0, len(fs))
-	for _, f := range fs {
-		pos := fset.Position(f.Span.Start)
-		out = append(out, Finding{
-			Kind:     string(f.Kind),
-			Severity: f.Severity.String(),
-			Function: f.Function,
-			File:     pos.File,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Message:  f.Message,
-			Notes:    f.Notes,
-		})
-	}
-	return out
+	return rustprobe.ResolveFindings(fset, fs)
 }

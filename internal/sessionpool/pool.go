@@ -13,7 +13,9 @@
 //
 // Lifecycle: entries are created on first push, touched on every push,
 // and evicted LRU once the pool exceeds MaxSessions or idle past
-// IdleTTL — but never while a push holds a reference. With a backing
+// IdleTTL — but never while a push holds a reference. Eviction runs
+// when a push starts and again when it releases its entry, so an idle
+// pool is always within MaxSessions. With a backing
 // store, every successful round synchronously persists the session's
 // exported state (the shared incrstate codec, same format as the CLI's
 // .rustprobe-state.json), so an evicted or restarted session's next
@@ -27,6 +29,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,7 +224,7 @@ func (p *Pool) PushDiff(ctx context.Context, repo string, changed map[string]str
 // run is the shared push core: acquire/create the entry, serialize on
 // it, restore from the store if this is the entry's first round,
 // analyze, persist, release.
-func (p *Pool) run(ctx context.Context, repo string, mkFiles func(*entry) (map[string]string, error)) (*Result, error) {
+func (p *Pool) run(ctx context.Context, repo string, mkFiles func(*entry) (map[string]string, error)) (res *Result, err error) {
 	now := p.cfg.Now()
 
 	p.mu.Lock()
@@ -247,24 +250,45 @@ func (p *Pool) run(ctx context.Context, repo string, mkFiles func(*entry) (map[s
 	p.evictLocked(now)
 	p.mu.Unlock()
 
+	// Release the reference however the round ends: a pinned entry is
+	// skipped by both TTL and LRU eviction forever.
+	defer func() {
+		p.mu.Lock()
+		e.refs--
+		e.lastUsed = p.cfg.Now()
+		// A round that panicked may have left the session half-updated:
+		// drop the entry, so the repo's next push starts from a fresh
+		// session (restored from the store when one is configured).
+		var pe *rustprobe.PanicError
+		if errors.As(err, &pe) && p.entries[repo] == e {
+			delete(p.entries, repo)
+		}
+		// Entries an eviction pass skipped while they were pinned may be
+		// idle now: enforce the cap here rather than at the next push.
+		p.evictLocked(e.lastUsed)
+		p.mu.Unlock()
+	}()
+
 	p.pushes.Add(1)
-	res, err := p.round(ctx, e, mkFiles)
-
-	p.mu.Lock()
-	e.refs--
-	e.lastUsed = p.cfg.Now()
-	p.mu.Unlock()
-
+	res, err = p.round(ctx, e, mkFiles)
 	if res != nil {
 		res.Stats.SessionHit = hit
 	}
 	return res, err
 }
 
-// round runs the analysis under the entry lock.
-func (p *Pool) round(ctx context.Context, e *entry, mkFiles func(*entry) (map[string]string, error)) (*Result, error) {
+// round runs the analysis under the entry lock. A panic anywhere in the
+// round — a detector pass, which the session already reports as a
+// *rustprobe.PanicError, or any other stage — comes back as a
+// *rustprobe.PanicError rather than unwinding into the caller.
+func (p *Pool) round(ctx context.Context, e *entry, mkFiles func(*entry) (map[string]string, error)) (res *Result, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, &rustprobe.PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
 	if p.cfg.TestRoundHook != nil {
 		done := p.cfg.TestRoundHook(e.repo)
 		defer done()
@@ -328,21 +352,10 @@ func (p *Pool) round(ctx context.Context, e *entry, mkFiles func(*entry) (map[st
 		}
 	}
 
-	findings := make([]incrstate.Finding, 0, len(up.Findings))
-	for _, f := range up.Findings {
-		pos := up.Result.Fset.Position(f.Span.Start)
-		findings = append(findings, incrstate.Finding{
-			Kind:     string(f.Kind),
-			Severity: f.Severity.String(),
-			Function: f.Function,
-			File:     pos.File,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Message:  f.Message,
-			Notes:    f.Notes,
-		})
-	}
-	return &Result{Findings: findings, Stats: PushStats{UpdateStats: up.Stats}}, nil
+	return &Result{
+		Findings: rustprobe.ResolveFindings(up.Result.Fset, up.Findings),
+		Stats:    PushStats{UpdateStats: up.Stats},
+	}, nil
 }
 
 // evictLocked enforces TTL then the LRU cap. Callers hold p.mu. Entries
@@ -369,7 +382,7 @@ func (p *Pool) evictLocked(now time.Time) {
 			}
 		}
 		if oldest == nil {
-			return // every excess entry is mid-push; retry on the next push
+			return // every excess entry is mid-push; retry when one is released
 		}
 		delete(p.entries, oldest.repo)
 		p.evictionsLRU.Add(1)

@@ -47,14 +47,7 @@ func oracleFindings(t *testing.T, files map[string]string) []incrstate.Finding {
 	if err != nil {
 		t.Fatalf("oracle analysis: %v", err)
 	}
-	out := make([]incrstate.Finding, 0)
-	for _, f := range res.Detect() {
-		pos := res.Fset.Position(f.Span.Start)
-		out = append(out, incrstate.Finding{
-			Kind: string(f.Kind), Severity: f.Severity.String(), Function: f.Function,
-			File: pos.File, Line: pos.Line, Column: pos.Column, Message: f.Message, Notes: f.Notes,
-		})
-	}
+	out := rustprobe.ResolveFindings(res.Fset, res.Detect())
 	incrstate.SortFindings(out)
 	return out
 }
@@ -146,6 +139,52 @@ func TestPoolSyntaxErrorKeepsSession(t *testing.T) {
 	}
 }
 
+// TestPoolRoundPanic: a panic inside a push comes back as a typed error
+// instead of unwinding into the caller, releases the entry's reference,
+// and drops the entry — so the repo is never pinned past eviction and
+// its next full push starts a fresh, working session.
+func TestPoolRoundPanic(t *testing.T) {
+	boom := true
+	p := New(Config{TestRoundHook: func(repo string) func() {
+		if boom && repo == "r" {
+			panic("injected round panic")
+		}
+		return func() {}
+	}})
+	ctx := context.Background()
+
+	_, err := p.Push(ctx, "r", baseTree())
+	var pe *rustprobe.PanicError
+	if !errors.As(err, &pe) || pe.Value != "injected round panic" || len(pe.Stack) == 0 {
+		t.Fatalf("panicking push: err = %v, want *rustprobe.PanicError with value and stack", err)
+	}
+	if n := p.Len(); n != 0 {
+		t.Fatalf("panicked entry still live: %d sessions", n)
+	}
+
+	boom = false
+	if _, err := p.PushDiff(ctx, "r", nil, nil); err != ErrNoSession {
+		t.Fatalf("diff after a dropped entry: err = %v, want ErrNoSession", err)
+	}
+	res, err := p.Push(ctx, "r", baseTree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.Full {
+		t.Errorf("push after the panic reused the dropped session: %+v", res.Stats)
+	}
+	if got, want := mustJSON(t, res.Findings), mustJSON(t, oracleFindings(t, baseTree())); got != want {
+		t.Fatalf("push after the panic diverged\n got: %s\nwant: %s", got, want)
+	}
+	// The reference was released: a live, idle entry is evictable.
+	p.mu.Lock()
+	refs := p.entries["r"].refs
+	p.mu.Unlock()
+	if refs != 0 {
+		t.Fatalf("entry refs = %d after the push returned", refs)
+	}
+}
+
 func TestPoolLRUEviction(t *testing.T) {
 	p := New(Config{MaxSessions: 2})
 	ctx := context.Background()
@@ -164,6 +203,39 @@ func TestPoolLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	} else if res.Stats.SessionHit {
 		t.Fatal("evicted repo reported a session hit")
+	}
+}
+
+// TestPoolCapHoldsOnceIdle: an eviction pass skips pinned entries, so
+// the pool can exceed MaxSessions while pushes are in flight; it must be
+// back under the cap once they finish, not only after a later push.
+func TestPoolCapHoldsOnceIdle(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	p := New(Config{MaxSessions: 1, TestRoundHook: func(repo string) func() {
+		if repo == "a" {
+			close(entered)
+			<-release
+		}
+		return func() {}
+	}})
+	ctx := context.Background()
+	tree := map[string]string{"a.rs": "fn f() {}\n"}
+	errA := make(chan error, 1)
+	go func() {
+		_, err := p.Push(ctx, "a", tree)
+		errA <- err
+	}()
+	<-entered
+	// "a" is pinned mid-round: "b"'s eviction pass has no victim.
+	if _, err := p.Push(ctx, "b", tree); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Live != 1 || st.EvictionsLRU != 1 {
+		t.Fatalf("idle pool over its cap of 1: %+v", st)
 	}
 }
 

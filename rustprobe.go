@@ -49,6 +49,7 @@ import (
 	"rustprobe/internal/detect/uaf"
 	"rustprobe/internal/detect/uninit"
 	"rustprobe/internal/hir"
+	"rustprobe/internal/incrstate"
 	"rustprobe/internal/lower"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/parser"
@@ -91,6 +92,29 @@ type Finding = detect.Finding
 // Detector re-exports the detector interface.
 type Detector = detect.Detector
 
+// ResolveFindings materializes each finding's span start to file:line:col
+// against fset, in the one serializable shape (incrstate.Finding) that
+// the CLI's -json output, engine responses, session pushes and persisted
+// session state all share. Notes are copied, so the result owns its
+// memory.
+func ResolveFindings(fset *source.FileSet, fs []Finding) []incrstate.Finding {
+	out := make([]incrstate.Finding, 0, len(fs))
+	for _, f := range fs {
+		pos := fset.Position(f.Span.Start)
+		out = append(out, incrstate.Finding{
+			Kind:     string(f.Kind),
+			Severity: f.Severity.String(),
+			Function: f.Function,
+			File:     pos.File,
+			Line:     pos.Line,
+			Column:   pos.Column,
+			Message:  f.Message,
+			Notes:    append([]string(nil), f.Notes...),
+		})
+	}
+	return out
+}
+
 // Result is a fully analyzed program: parsed crates, the resolved
 // registry, lowered MIR bodies, and accumulated diagnostics.
 type Result struct {
@@ -100,7 +124,7 @@ type Result struct {
 	Diags   *source.Diagnostics
 
 	// Precise selects the SafeDrop-style path-sensitive detector variants
-	// for Detect/DetectParallel: default candidate findings that the
+	// for Detect/DetectContext: default candidate findings that the
 	// shared dropflow analysis refutes are dropped. Off by default so the
 	// paper's §7 results stay reproducible.
 	Precise bool
@@ -407,6 +431,16 @@ func Detectors() []Detector { return detectorRegistry(false) }
 // detectorRegistry builds the static suite; precise selects the
 // path-sensitive (dropflow-refuting) variants of the memory detectors.
 // The lock and concurrency detectors have no precise variant.
+//
+// A detector's role in session rounds follows from its type. One that
+// implements detect.Incremental (lock-order, blocking, interior-
+// mutability, data-race) pairs facts across possibly unrelated
+// functions, so it re-runs whole-program every round over its carried
+// fact cache. Any other is local: its findings are attributed to the
+// analyzed root function and depend only on that function, its
+// transitive callees, and the resolved registry, so a session re-runs it
+// only over the dirty callgraph closure and reuses cached findings for
+// every other root.
 func detectorRegistry(precise bool) []Detector {
 	return []Detector{
 		&uaf.Detector{Precise: precise},
@@ -415,34 +449,6 @@ func detectorRegistry(precise bool) []Detector {
 		blocking.New(),
 		&dfree.Detector{Precise: precise},
 		&uninit.Detector{Precise: precise},
-		interiormut.New(),
-		race.New(),
-	}
-}
-
-// localDetectors are the passes whose findings are attributed to the
-// analyzed root function and depend only on that function, its transitive
-// callees, and the (always fully present) resolved program registry.
-// Incremental sessions re-run them only over the dirty callgraph closure
-// and reuse cached findings for every other root.
-func localDetectors(precise bool) []Detector {
-	return []Detector{
-		&uaf.Detector{Precise: precise},
-		doublelock.New(),
-		&dfree.Detector{Precise: precise},
-		&uninit.Detector{Precise: precise},
-	}
-}
-
-// globalDetectors pair facts across possibly unrelated functions —
-// conflicting lock orders across function pairs, data races across spawn
-// sites and statics, interior-mutability conflicts across one type's
-// methods — so a change anywhere can flip their findings and they always
-// re-run whole-program.
-func globalDetectors() []Detector {
-	return []Detector{
-		lockorder.New(),
-		blocking.New(),
 		interiormut.New(),
 		race.New(),
 	}
@@ -460,72 +466,21 @@ func DetectorNames() []string {
 
 // Detect runs the named detectors (the full static suite when none are
 // named) and returns the merged, position-sorted findings. The "dynamic"
-// detector only runs when named explicitly.
+// detector only runs when named explicitly. A detector panic re-panics
+// on the caller's goroutine; callers that want panics as values use
+// DetectContext.
 func (r *Result) Detect(names ...string) []Finding {
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
+	out, _, err := r.DetectContext(context.Background(), names...)
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		panic(fmt.Sprintf("%v\n%s", pe, pe.Stack))
 	}
-	var out []Finding
-	for _, d := range detectorRegistry(r.Precise) {
-		if len(want) > 0 && !want[d.Name()] {
-			continue
-		}
-		out = append(out, d.Run(r.Context())...)
-	}
-	if want["dynamic"] {
-		out = append(out, dynamic.New().Run(r.Context())...)
-	}
-	detect.SortFindings(out)
 	return out
 }
 
-// DetectParallel runs the same detector selection as Detect, but with
-// each detector pass on its own goroutine over the shared Context.
-// The merged, sorted findings are identical to Detect's; the engine
-// uses this to overlap independent passes within one analysis job.
-func (r *Result) DetectParallel(names ...string) []Finding {
-	out, _ := r.DetectParallelTimed(names...)
-	return out
-}
-
-// DetectParallelTimed is DetectParallel plus a per-detector wall-time
-// breakdown (keyed by detector name). A detector panic re-panics on the
-// caller's goroutine (matching Detect's behavior); context-aware callers
-// that want panics as values use DetectParallelTimedCtx.
-func (r *Result) DetectParallelTimed(names ...string) ([]Finding, map[string]time.Duration) {
-	out, times, err := r.DetectParallelTimedCtx(context.Background(), names...)
-	if err != nil {
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			panic(fmt.Sprintf("%v\n%s", pe, pe.Stack))
-		}
-	}
-	return out, times
-}
-
-// PanicError reports that a detector pass panicked during the parallel
-// fan-out. The recovered value and the panicking goroutine's stack are
-// preserved so servers can isolate the failure and log it instead of
-// losing the process (or a pool worker) to one bad input.
-type PanicError struct {
-	Detector string
-	Value    any
-	Stack    []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("rustprobe: detector %s panicked: %v", e.Detector, e.Value)
-}
-
-// testDetectors is appended to the fan-out's registry by package tests to
-// exercise panic isolation without a real detector that can panic.
-var testDetectors []Detector
-
-// DetectParallelTimedCtx is the context-aware detector fan-out: each
-// selected detector runs on its own goroutine over the shared Context,
-// with a per-detector recover. It returns the merged, sorted findings
-// and a per-detector wall-time breakdown.
+// DetectContext is Detect for servers: the same selection and findings,
+// plus a per-detector wall-time breakdown (keyed by detector name), with
+// panics and cancellation returned as errors.
 //
 // If ctx is cancelled, detectors not yet launched are skipped and the
 // context error is returned once the in-flight passes drain (individual
@@ -533,7 +488,71 @@ var testDetectors []Detector
 // detector granularity). If any pass panics, a *PanicError for the
 // first panicking detector is returned instead of findings. The timing
 // breakdown is valid in every case.
-func (r *Result) DetectParallelTimedCtx(ctx context.Context, names ...string) ([]Finding, map[string]time.Duration, error) {
+func (r *Result) DetectContext(ctx context.Context, names ...string) ([]Finding, map[string]time.Duration, error) {
+	d, err := r.fanOut(ctx, names, nil)
+	if err != nil {
+		return nil, d.times, err
+	}
+	detect.SortFindings(d.findings)
+	return d.findings, d.times, nil
+}
+
+// PanicError reports that an analysis pass panicked: a detector during
+// the fan-out (Detector names it), or another stage of a session round
+// (Detector is empty). The recovered value and the panicking goroutine's
+// stack are preserved so servers can isolate the failure and log it
+// instead of losing the process (or a pool worker) to one bad input.
+type PanicError struct {
+	Detector string
+	Value    any
+	Stack    []byte
+}
+
+func (e *PanicError) Error() string {
+	if e.Detector == "" {
+		return fmt.Sprintf("rustprobe: analysis panicked: %v", e.Value)
+	}
+	return fmt.Sprintf("rustprobe: detector %s panicked: %v", e.Detector, e.Value)
+}
+
+// testDetectors is appended to the fan-out's registry by package tests to
+// exercise panic isolation without a real detector that can panic.
+var testDetectors []Detector
+
+// roundScope narrows a fan-out to one incremental session round.
+type roundScope struct {
+	// local is the context the local detectors run on: the dirty
+	// closure's bodies only. Nil means the full context.
+	local *detect.Context
+	// dirty names the re-lowered bodies whose cached facts the
+	// incremental detectors must re-extract; nil means every function.
+	dirty map[string]bool
+	// carries holds the previous round's fact caches by detector name.
+	// The fan-out only reads it; new carries come back in detection.
+	carries map[string]detect.Carry
+}
+
+// detection is one fan-out's output.
+type detection struct {
+	findings []Finding // every finding, in registry order, unsorted
+	times    map[string]time.Duration
+
+	// Session rounds only (non-nil scope): the local detectors' share of
+	// findings, each incremental detector's new carry, and the
+	// per-function fact extractions they skipped.
+	local   []Finding
+	carries map[string]detect.Carry
+	reused  int
+}
+
+// fanOut is the one place detectors run. Each selected detector runs on
+// its own goroutine over the shared Context, with a recover and a timer.
+// An incremental detector runs RunIncremental against its carry from
+// scope (a nil carry and nil dirty set extract every function, which is
+// exactly Run); any other detector runs Run on scope's local context.
+// With a nil scope every detector sees the whole program and no carries
+// are kept. Errors are as documented on DetectContext; d is never nil.
+func (r *Result) fanOut(ctx context.Context, names []string, scope *roundScope) (*detection, error) {
 	want := map[string]bool{}
 	for _, n := range names {
 		want[n] = true
@@ -543,57 +562,83 @@ func (r *Result) DetectParallelTimedCtx(ctx context.Context, names ...string) ([
 		ds = append(ds, dynamic.New())
 	}
 	ds = append(ds, testDetectors...)
-	rctx := r.Context() // build once, before the fan-out
-	results := make([][]Finding, len(ds))
-	elapsed := make([]time.Duration, len(ds))
-	ran := make([]bool, len(ds))
+	full := r.Context() // build once, before the fan-out
+	round := scope != nil
+	if !round {
+		scope = &roundScope{}
+	}
+	local := scope.local
+	if local == nil {
+		local = full
+	}
+	type pass struct {
+		ran     bool
+		fs      []Finding
+		carry   detect.Carry
+		reused  int
+		elapsed time.Duration
+	}
+	passes := make([]pass, len(ds))
 	var (
 		wg         sync.WaitGroup
 		panicMu    sync.Mutex
 		firstPanic *PanicError
 	)
-	for i, d := range ds {
-		if len(want) > 0 && !want[d.Name()] {
+	for i, det := range ds {
+		if len(want) > 0 && !want[det.Name()] {
 			continue
 		}
 		if ctx.Err() != nil {
 			break // cancelled: skip the rest of the fan-out
 		}
-		ran[i] = true
+		passes[i].ran = true
 		wg.Add(1)
-		go func(i int, d Detector) {
+		go func(p *pass, det Detector) {
 			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
 					panicMu.Lock()
 					if firstPanic == nil {
-						firstPanic = &PanicError{Detector: d.Name(), Value: v, Stack: debug.Stack()}
+						firstPanic = &PanicError{Detector: det.Name(), Value: v, Stack: debug.Stack()}
 					}
 					panicMu.Unlock()
 				}
 			}()
 			t := time.Now()
-			results[i] = d.Run(rctx)
-			elapsed[i] = time.Since(t)
-		}(i, d)
+			if inc, ok := det.(detect.Incremental); ok {
+				p.fs, p.carry, p.reused = inc.RunIncremental(full, scope.carries[det.Name()], scope.dirty)
+			} else {
+				p.fs = det.Run(local)
+			}
+			p.elapsed = time.Since(t)
+		}(&passes[i], det)
 	}
 	wg.Wait()
-	times := make(map[string]time.Duration, len(ds))
-	var out []Finding
-	for i, fs := range results {
-		out = append(out, fs...)
-		if ran[i] {
-			times[ds[i].Name()] += elapsed[i]
+	d := &detection{times: make(map[string]time.Duration, len(ds))}
+	if round {
+		d.carries = map[string]detect.Carry{}
+	}
+	for i, p := range passes {
+		if !p.ran {
+			continue
+		}
+		name := ds[i].Name()
+		d.times[name] += p.elapsed
+		d.findings = append(d.findings, p.fs...)
+		if !round {
+			continue
+		}
+		if _, ok := ds[i].(detect.Incremental); ok {
+			d.carries[name] = p.carry
+			d.reused += p.reused
+		} else {
+			d.local = append(d.local, p.fs...)
 		}
 	}
 	if firstPanic != nil {
-		return nil, times, firstPanic
+		return d, firstPanic
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, times, err
-	}
-	detect.SortFindings(out)
-	return out, times, nil
+	return d, ctx.Err()
 }
 
 // ScanUnsafe runs the §4 unsafe-usage scanner over the parsed crates.

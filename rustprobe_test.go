@@ -1,9 +1,12 @@
 package rustprobe
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -91,30 +94,10 @@ func TestAnalyzeDirRelativePaths(t *testing.T) {
 	}
 }
 
-// DetectParallel must produce findings identical to the serial Detect,
-// for every selection shape the engine submits.
-func TestDetectParallelMatchesDetect(t *testing.T) {
-	for _, group := range []string{"detector-eval", "patterns", "unsafe", "all"} {
-		res, err := AnalyzeCorpus(group)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, names := range [][]string{nil, {"use-after-free"}, {"double-lock", "conflicting-lock-order"}} {
-			serial := res.Detect(names...)
-			parallel := res.DetectParallel(names...)
-			if len(serial) != len(parallel) {
-				t.Fatalf("%s %v: serial %d findings, parallel %d", group, names, len(serial), len(parallel))
-			}
-			for i := range serial {
-				if serial[i].Format(res.Fset) != parallel[i].Format(res.Fset) {
-					t.Errorf("%s %v: finding %d diverges:\n serial:   %s\n parallel: %s",
-						group, names, i, serial[i].Format(res.Fset), parallel[i].Format(res.Fset))
-				}
-			}
-		}
-	}
-}
-
+// TestAnalyzeCorpusGroups loads every corpus group and runs each
+// detector-selection shape the engine submits over it: a selection must
+// report exactly the selected detectors' share of the full suite's
+// findings, through Detect and DetectContext alike.
 func TestAnalyzeCorpusGroups(t *testing.T) {
 	for _, g := range []string{"detector-eval", "patterns", "unsafe", "all"} {
 		res, err := AnalyzeCorpus(g)
@@ -123,6 +106,32 @@ func TestAnalyzeCorpusGroups(t *testing.T) {
 		}
 		if len(res.Bodies) == 0 {
 			t.Errorf("corpus %s lowered no bodies", g)
+		}
+		all := res.Detect()
+		// Each selected detector reports exactly one kind named after it.
+		for _, names := range [][]string{nil, {"use-after-free"}, {"double-lock", "conflicting-lock-order"}} {
+			var want []string
+			for _, f := range all {
+				if names == nil || slices.Contains(names, string(f.Kind)) {
+					want = append(want, f.Format(res.Fset))
+				}
+			}
+			ctxFs, _, err := res.DetectContext(context.Background(), names...)
+			if err != nil {
+				t.Fatalf("%s %v: DetectContext: %v", g, names, err)
+			}
+			for _, got := range [][]Finding{res.Detect(names...), ctxFs} {
+				var gotS []string
+				for _, f := range got {
+					gotS = append(gotS, f.Format(res.Fset))
+				}
+				sort.Strings(gotS)
+				sort.Strings(want)
+				if !slices.Equal(gotS, want) {
+					t.Errorf("%s %v: selection reports %d findings, the full suite's share is %d\n got: %v\nwant: %v",
+						g, names, len(gotS), len(want), gotS, want)
+				}
+			}
 		}
 	}
 	if _, err := AnalyzeCorpus("nope"); err == nil {

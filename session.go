@@ -1,6 +1,7 @@
 package rustprobe
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -336,13 +337,19 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 
 	// Incremental detection: local detectors over the dirty callgraph
 	// closure, cached findings for every root outside it, global
-	// detectors incrementally over their carried fact caches.
+	// detectors incrementally over their carried fact caches. A failed
+	// round commits nothing, carries included.
 	changedList := make([]string, 0, len(changedFns))
 	for q := range changedFns {
 		changedList = append(changedList, q)
 	}
-	fresh, global, restricted, globalReused := res.detectIncremental(changedList, s.carries)
-	merged := append([]Finding(nil), fresh...)
+	scope, restricted := res.dirtyScope(changedList, s.carries)
+	det, err := res.fanOut(context.TODO(), nil, scope)
+	if err != nil {
+		s.fset.Rollback(mark)
+		return nil, err
+	}
+	merged := det.findings
 	reusedFindings := 0
 	local := make(map[string][]Finding, len(s.local))
 	for fn, fs := range s.local {
@@ -353,10 +360,9 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 		merged = append(merged, fs...)
 		reusedFindings += len(fs)
 	}
-	for _, f := range fresh {
+	for _, f := range det.local {
 		local[f.Function] = append(local[f.Function], f)
 	}
-	merged = append(merged, global...)
 	sortFindingsByPosition(s.fset, merged)
 
 	// Commit.
@@ -366,6 +372,7 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 	}
 	s.res = res
 	s.local = local
+	s.carries = det.carries
 	up := &Update{Result: res, Findings: merged}
 	up.Stats = UpdateStats{
 		Files:             len(files),
@@ -376,7 +383,7 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 		FindingsReused:    reusedFindings,
 		ChangedFns:        len(changedFns),
 		FuncsTotal:        len(res.Bodies),
-		GlobalFactsReused: globalReused,
+		GlobalFactsReused: det.reused,
 		GraphPatched:      true,
 	}
 	s.last = up
@@ -394,39 +401,29 @@ func (s *Session) full(files map[string]string, reason string) (*Update, error) 
 		}
 		return nil, err
 	}
-	return s.commitFull(files, fset, res, arts, reason), nil
+	return s.commitFull(files, fset, res, arts, reason)
 }
 
 // commitFull finishes a full round over an already-built frontend: it
 // runs every detector from scratch and reseeds the session's reuse
 // state. Shared by full() and the restore path's structural fallback
 // (which has already paid for the frontend and must not rebuild it).
-func (s *Session) commitFull(files map[string]string, fset *source.FileSet, res *Result, arts map[string]*fileArtifact, reason string) *Update {
+// A full round still seeds the global detectors' carries, so the very
+// next incremental round reuses facts.
+func (s *Session) commitFull(files map[string]string, fset *source.FileSet, res *Result, arts map[string]*fileArtifact, reason string) (*Update, error) {
 	res.Precise = s.precise
-
-	ctx := res.Context()
-	var findings []Finding
-	local := map[string][]Finding{}
-	for _, d := range localDetectors(s.precise) {
-		for _, f := range d.Run(ctx) {
-			findings = append(findings, f)
-			local[f.Function] = append(local[f.Function], f)
-		}
+	det, err := res.fanOut(context.TODO(), nil, &roundScope{})
+	if err != nil {
+		return nil, err
 	}
-	// A full round runs the global detectors from scratch but still seeds
-	// their carries, so the very next incremental round reuses facts.
-	s.carries = map[string]detect.Carry{}
-	for _, d := range globalDetectors() {
-		if inc, ok := d.(detect.Incremental); ok {
-			fs, nc, _ := inc.RunIncremental(ctx, nil, nil)
-			findings = append(findings, fs...)
-			s.carries[d.Name()] = nc
-			continue
-		}
-		findings = append(findings, d.Run(ctx)...)
+	findings := det.findings
+	local := map[string][]Finding{}
+	for _, f := range det.local {
+		local[f.Function] = append(local[f.Function], f)
 	}
 	sortFindingsByPosition(fset, findings)
 
+	s.carries = det.carries
 	s.fset = fset
 	s.arts = arts
 	s.res = res
@@ -448,7 +445,7 @@ func (s *Session) commitFull(files map[string]string, fset *source.FileSet, res 
 		FuncsTotal:    len(res.Bodies),
 	}
 	s.last = up
-	return snapshotUpdate(up)
+	return snapshotUpdate(up), nil
 }
 
 // Restore arms an empty session with state persisted by an earlier
@@ -497,11 +494,11 @@ func (s *Session) ExportState() *incrstate.State {
 		Interfaces: s.res.FileInterfaceHashes(),
 		FnBodies:   s.res.FuncBodyHashes(),
 		FnPos:      s.res.FuncDeclPositions(),
-		Findings:   resolveFindings(s.fset, s.last.Findings),
+		Findings:   ResolveFindings(s.fset, s.last.Findings),
 		Local:      make(map[string][]incrstate.Finding, len(s.local)),
 	}
 	for fn, fs := range s.local {
-		st.Local[fn] = resolveFindings(s.fset, fs)
+		st.Local[fn] = ResolveFindings(s.fset, fs)
 	}
 	// Manifest only: the fact caches hold pointers into live MIR and
 	// cannot survive the process; record their sizes for observability.
@@ -542,7 +539,10 @@ func (s *Session) restoreRound(files map[string]string) (*Update, error) {
 		!mapsEqualStr(prior.Interfaces, ifaces) ||
 		!sameKeysStr(prior.FnBodies, fnBodies) ||
 		!sameKeysStr(prior.FnPos, fnPos) {
-		up := s.commitFull(files, fset, res, arts, "restored state structure changed")
+		up, err := s.commitFull(files, fset, res, arts, "restored state structure changed")
+		if err != nil {
+			return nil, err
+		}
 		up.Stats.Restored = true
 		s.last.Stats.Restored = true
 		return up, nil
@@ -561,16 +561,19 @@ func (s *Session) restoreRound(files map[string]string) (*Update, error) {
 
 	// Restored carries do not exist — fact caches are process-local — so
 	// the first round's global detectors extract from scratch and seed
-	// the map for every later round.
-	s.carries = map[string]detect.Carry{}
-	local, global, restricted, _ := res.detectIncremental(changed, s.carries)
+	// the carries for every later round.
+	scope, restricted := res.dirtyScope(changed, nil)
+	det, err := res.fanOut(context.TODO(), nil, scope)
+	if err != nil {
+		return nil, err
+	}
 	byName := map[string]*source.File{}
 	for _, f := range fset.Files() {
 		byName[f.Name] = f
 	}
-	merged := append([]Finding(nil), local...)
+	merged := det.findings
 	localMap := make(map[string][]Finding, len(prior.Local))
-	for _, f := range local {
+	for _, f := range det.local {
 		localMap[f.Function] = append(localMap[f.Function], f)
 	}
 	reusedFindings := 0
@@ -592,9 +595,9 @@ func (s *Session) restoreRound(files map[string]string) (*Update, error) {
 		merged = append(merged, fs...)
 		reusedFindings += len(rfs)
 	}
-	merged = append(merged, global...)
 	sortFindingsByPosition(fset, merged)
 
+	s.carries = det.carries
 	s.fset = fset
 	s.arts = arts
 	s.res = res
@@ -617,26 +620,6 @@ func (s *Session) restoreRound(files map[string]string) (*Update, error) {
 	}
 	s.last = up
 	return snapshotUpdate(up), nil
-}
-
-// resolveFindings materializes findings' span starts to file:line:col in
-// the incrstate wire form.
-func resolveFindings(fset *source.FileSet, fs []Finding) []incrstate.Finding {
-	out := make([]incrstate.Finding, 0, len(fs))
-	for _, f := range fs {
-		pos := fset.Position(f.Span.Start)
-		out = append(out, incrstate.Finding{
-			Kind:     string(f.Kind),
-			Severity: f.Severity.String(),
-			Function: f.Function,
-			File:     pos.File,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Message:  f.Message,
-			Notes:    append([]string(nil), f.Notes...),
-		})
-	}
-	return out
 }
 
 // findingFromResolved rebuilds a detector finding from its persisted
@@ -723,35 +706,23 @@ func commonPrefixLen(a, b string) int {
 	return i
 }
 
-// DetectIncremental runs the detector suite incrementally: changedFns
-// names the functions whose MIR changed since a previous round of this
-// same Result shape (body-only edits; interfaces must be unchanged).
+// dirtyScope narrows detection to the functions a body-only round can
+// affect. changedFns names the functions whose MIR changed since the
+// round that produced carries (body-only edits; interfaces unchanged).
 // Callers replaying cached findings for the untouched roots must also
-// include every function whose resolved source position shifted (an edit
-// above it in the same file), or the replayed findings carry positions
-// from the old revision. It
-// returns the local-detector findings recomputed over the dirty
-// callgraph closure, the always-recomputed global-detector findings, and
-// the recomputed root set — every root outside it kept its previous
-// local findings, which the caller merges back in.
+// include every function whose resolved source position shifted (an
+// edit above it in the same file), or the replayed findings carry
+// positions from the old revision.
 //
-// The dirty closure is: the changed functions, their transitive callers
-// (whose summaries can observe the change), and the transitive callees
-// of all of those (so every summary or body lookup a local detector
-// makes stays in-set), closed over closure families (a closure body
-// changes exactly when its owner's body text does).
-func (r *Result) DetectIncremental(changedFns []string) (local, global []Finding, recomputed map[string]bool) {
-	local, global, recomputed, _ = r.detectIncremental(changedFns, nil)
-	return local, global, recomputed
-}
-
-// detectIncremental is DetectIncremental threading the global detectors'
-// fact caches: carries maps detector name to the carry its last run
-// returned (missing or nil entries degrade to full extraction) and is
-// updated in place. globalReused sums the per-function fact extractions
-// skipped across all global detectors. A nil carries map runs every
-// global detector from scratch without caching.
-func (r *Result) detectIncremental(changedFns []string, carries map[string]detect.Carry) (local, global []Finding, recomputed map[string]bool, globalReused int) {
+// It returns the fan-out scope and the recomputed root set: the local
+// detectors run over the dirty callgraph closure, and every root outside
+// it keeps its previous local findings, which the caller merges back in.
+// The closure is the changed functions, their transitive callers (whose
+// summaries can observe the change), and the transitive callees of all
+// of those (so every summary or body lookup a local detector makes stays
+// in-set), closed over closure families (a closure body changes exactly
+// when its owner's body text does).
+func (r *Result) dirtyScope(changedFns []string, carries map[string]detect.Carry) (*roundScope, map[string]bool) {
 	changed := make(map[string]bool, len(changedFns))
 	for _, q := range changedFns {
 		changed[q] = true
@@ -765,7 +736,7 @@ func (r *Result) detectIncremental(changedFns []string, carries map[string]detec
 		}
 	}
 	sort.Strings(seeds)
-	recomputed = ctx.Graph.TransitiveCallers(seeds...)
+	recomputed := ctx.Graph.TransitiveCallers(seeds...)
 	for _, bname := range seeds {
 		recomputed[bname] = true
 	}
@@ -803,10 +774,6 @@ func (r *Result) detectIncremental(changedFns []string, carries map[string]detec
 			restrictedBodies[n] = b
 		}
 	}
-	localCtx := detect.NewContext(r.Program, restrictedBodies)
-	for _, d := range localDetectors(r.Precise) {
-		local = append(local, d.Run(localCtx)...)
-	}
 	// The dirty set handed to the global detectors is the re-lowered
 	// body set (the seeds, closures included) — facts of any other
 	// function are derived from an unchanged body object. The detectors
@@ -815,18 +782,11 @@ func (r *Result) detectIncremental(changedFns []string, carries map[string]detec
 	for _, bname := range seeds {
 		dirty[bname] = true
 	}
-	for _, d := range globalDetectors() {
-		inc, ok := d.(detect.Incremental)
-		if !ok || carries == nil {
-			global = append(global, d.Run(ctx)...)
-			continue
-		}
-		fs, nc, n := inc.RunIncremental(ctx, carries[d.Name()], dirty)
-		carries[d.Name()] = nc
-		globalReused += n
-		global = append(global, fs...)
-	}
-	return local, global, recomputed, globalReused
+	return &roundScope{
+		local:   detect.NewContext(r.Program, restrictedBodies),
+		dirty:   dirty,
+		carries: carries,
+	}, recomputed
 }
 
 // closureBase strips the "::closure#N..." suffix lowering appends, naming
