@@ -117,9 +117,9 @@ func TestAnalyzeEndpointErrors(t *testing.T) {
 		body   string
 		status int
 	}{
-		{`{`, http.StatusBadRequest},                                       // malformed JSON
-		{`{}`, http.StatusBadRequest},                                      // no input
-		{`{"corpus": "nope"}`, http.StatusBadRequest},                      // unknown group
+		{`{`, http.StatusBadRequest},                  // malformed JSON
+		{`{}`, http.StatusBadRequest},                 // no input
+		{`{"corpus": "nope"}`, http.StatusBadRequest}, // unknown group
 		{`{"files": {"x.rs": "fn f() {}"}, "detectors": ["zap"]}`, http.StatusBadRequest},
 		{`{"files": {"bad.rs": "fn broken( {"}}`, http.StatusUnprocessableEntity},
 	}

@@ -230,10 +230,10 @@ func TestSessionEndpointErrors(t *testing.T) {
 	}
 
 	badBodies := []string{
-		`{`,                  // malformed JSON
-		`{}`,                 // neither form
-		`{"files": {}}`,      // full push with no files
-		`{"bogus": 1}`,       // unknown field
+		`{`,             // malformed JSON
+		`{}`,            // neither form
+		`{"files": {}}`, // full push with no files
+		`{"bogus": 1}`,  // unknown field
 		`{"files": {"a.rs": "fn a() {}"}, "changed": {"b.rs": "fn b() {}"}}`, // both forms
 	}
 	for _, body := range badBodies {

@@ -10,8 +10,8 @@
 // path language the lock detectors use ("self.client", "queue",
 // "static CONFIG") and qualified by impl type or owning function so
 // facts from different functions compare. Edges come from two sources:
-// the locks held at each blocking operation (reusing the double-lock
-// detector's guard tracking), and the operation's own resource. A report
+// the locks held at each blocking operation (the guard tracking shared
+// with the other lock detectors), and the operation's own resource. A report
 // is a cycle (the receiver holds the lock its sender needs; an
 // initializer waits on the Once it is initializing) or an orphaned wait
 // (a recv or Condvar::wait whose wake-up edge provably never fires).
@@ -28,7 +28,7 @@ import (
 
 	"rustprobe/internal/cfg"
 	"rustprobe/internal/detect"
-	"rustprobe/internal/detect/doublelock"
+	"rustprobe/internal/detect/lockset"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
 	"rustprobe/internal/summary"
@@ -92,7 +92,7 @@ type event struct {
 	Span source.Span
 	// Locks held at the operation (recv/send only). Shrinks under merge:
 	// a lock counts only if held on every path that reaches the op.
-	Locks map[string]doublelock.Mode
+	Locks map[string]lockset.Mode
 	// LocalProv marks endpoints derived from a channel constructor that
 	// is visible in the recording function; such endpoints are excluded
 	// from the same-impl-type pairing heuristic.
@@ -114,7 +114,7 @@ func (e *event) key() string {
 func (e *event) clone() *event {
 	c := *e
 	if e.Locks != nil {
-		c.Locks = cloneLocks(e.Locks)
+		c.Locks = lockset.CloneLocks(e.Locks)
 	}
 	if e.After != nil {
 		c.After = make(map[string]bool, len(e.After))
@@ -157,7 +157,7 @@ type callSite struct {
 	// argClosures names, per argument, the locally-defined closure body
 	// the argument carries ("" if it is not a closure binding).
 	argClosures []string
-	held        map[string]doublelock.Mode
+	held        map[string]lockset.Mode
 	span        source.Span
 	// guaranteed marks a call site on every entry→return path.
 	guaranteed bool
@@ -181,7 +181,7 @@ type chanProv struct {
 type funcInfo struct {
 	name     string
 	body     *mir.Body
-	res      *resolver
+	res      *lockset.Resolver
 	own      []*event // recv/send/once/wait/notify events in this body
 	calls    []callSite
 	spawns   []spawnSite
@@ -274,10 +274,8 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 // analyze collects the per-function blocking facts.
 func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
-	guards := doublelock.Guards(body)
-	live := doublelock.LiveGuards(body, g, guards)
-	res := newResolver(ctx, name, body, guards)
+	g := ctx.CFG(name)
+	res := ctx.Paths(name)
 	info := &funcInfo{
 		name:     name,
 		body:     body,
@@ -288,12 +286,12 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	for _, c := range body.Captures {
 		info.captures[c] = true
 	}
-	for _, p := range paramNames(body) {
+	for _, p := range mir.ParamNames(body) {
 		if p != "" {
 			info.params[p] = true
 		}
 	}
-	closureOf := closureLocals(body)
+	closureOf := mir.ClosureLocals(body)
 	info.chans = channelProvenance(body)
 	endpoint := map[mir.LocalID]bool{}
 	for _, ch := range info.chans {
@@ -305,19 +303,11 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		}
 	}
 	localProv := func(path string) bool {
-		l, ok := res.byName[pathRoot(path)]
+		l, ok := res.Local(lockset.PathRoot(path))
 		return ok && endpoint[l]
 	}
 
-	heldAt := func(blk mir.BlockID, idx int) map[string]doublelock.Mode {
-		held := doublelock.Held(live.StateAt(blk, idx), guards)
-		canon := make(map[string]doublelock.Mode, len(held))
-		for id, m := range held {
-			canon[res.canonPath(id)] = m
-		}
-		return canon
-	}
-	valid := func(p string) bool { return p != "" && pathDepth(p) <= maxPathDepth }
+	valid := func(p string) bool { return p != "" && lockset.PathDepth(p) <= maxPathDepth }
 	mustRecv := mustRecvIn(body, g, res)
 	afterAt := func(blk mir.BlockID) map[string]bool {
 		in := mustRecv[blk]
@@ -341,7 +331,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		}
 		switch c.Intrinsic {
 		case mir.IntrinsicChanRecv, mir.IntrinsicChanSend:
-			p := res.canonPath(c.RecvPath)
+			p := res.CanonPath(c.RecvPath)
 			if c.RecvPath == "" || !valid(p) {
 				continue
 			}
@@ -356,14 +346,14 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 				Res:        p,
 				Fn:         name,
 				Span:       c.Span,
-				Locks:      heldAt(blk.ID, len(blk.Stmts)),
+				Locks:      res.Held(blk.ID, len(blk.Stmts)),
 				LocalProv:  localProv(p),
 				Guaranteed: unavoidable(body, g, blk.ID),
 				After:      after,
 			})
 			continue
 		case mir.IntrinsicCondvarWait:
-			if p := res.canonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
+			if p := res.CanonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
 				info.waits = append(info.waits, waitSite{cv: p, span: c.Span})
 				info.own = append(info.own, &event{
 					Kind: opWait, Res: p, Fn: name, Span: c.Span,
@@ -382,9 +372,9 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			}
 			continue
 		case mir.IntrinsicNone:
-			switch methodName(c.Callee) {
+			switch mir.MethodName(c.Callee) {
 			case "notify_one", "notify_all":
-				if p := res.canonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
+				if p := res.CanonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
 					guaranteed := unavoidable(body, g, blk.ID)
 					info.notifies = append(info.notifies, notifySite{
 						cv:         p,
@@ -398,7 +388,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 					continue
 				}
 			case "call_once":
-				if p := res.canonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
+				if p := res.CanonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
 					site := onceSite{once: p, span: c.Span, closureParam: -1}
 					for _, a := range c.Args[1:] {
 						if pl, ok := mir.OperandPlace(a); ok && pl.IsLocal() {
@@ -418,13 +408,13 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 				}
 			}
 		}
-		callee := resolvedCallee(ctx, c)
+		callee := ctx.Callee(c)
 		if callee == "" {
 			continue
 		}
 		cs := callSite{
 			callee:     callee,
-			held:       heldAt(blk.ID, len(blk.Stmts)),
+			held:       res.Held(blk.ID, len(blk.Stmts)),
 			span:       c.Span,
 			guaranteed: unavoidable(body, g, blk.ID),
 		}
@@ -432,7 +422,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			p := ""
 			cn := ""
 			if pl, ok := mir.OperandPlace(a); ok {
-				p = res.valuePath(pl)
+				p = res.ValuePath(pl)
 				if pl.IsLocal() && len(pl.Proj) == 0 {
 					cn = closureOf[pl.Local]
 				}
@@ -451,11 +441,11 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 // terminator — the must-precede relation behind send events' After
 // sets. Forward must-dataflow: intersection at joins, recv terminators
 // generate their resource.
-func mustRecvIn(body *mir.Body, g *cfg.Graph, res *resolver) map[mir.BlockID]map[string]bool {
+func mustRecvIn(body *mir.Body, g *cfg.Graph, res *lockset.Resolver) map[mir.BlockID]map[string]bool {
 	gen := map[mir.BlockID]string{}
 	for _, blk := range body.Blocks {
 		if c, ok := blk.Term.(mir.Call); ok && c.Intrinsic == mir.IntrinsicChanRecv && c.RecvPath != "" {
-			if p := res.canonPath(c.RecvPath); p != "" && pathDepth(p) <= maxPathDepth {
+			if p := res.CanonPath(c.RecvPath); p != "" && lockset.PathDepth(p) <= maxPathDepth {
 				gen[blk.ID] = p
 			}
 		}
@@ -542,17 +532,17 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 				if !known {
 					continue
 				}
-				params := paramNames(ctx.Bodies[cs.callee])
+				params := mir.ParamNames(ctx.Bodies[cs.callee])
 				for _, e := range calleeSum {
 					p := summary.TranslateRoot(e.Res, params, cs.argPaths)
-					if p == "" || pathDepth(p) > maxPathDepth {
+					if p == "" || lockset.PathDepth(p) > maxPathDepth {
 						continue
 					}
 					t := e.clone()
 					t.Res = p
 					t.Guaranteed = e.Guaranteed && cs.guaranteed
 					if t.Kind == opRecv || t.Kind == opSend {
-						t.Locks = translateLocks(e.Locks, params, cs.argPaths)
+						t.Locks = lockset.TranslateLocks(e.Locks, params, cs.argPaths)
 						for id, m := range cs.held {
 							if cur, ok := t.Locks[id]; !ok || m > cur {
 								t.Locks[id] = m
@@ -562,7 +552,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 					if len(e.After) > 0 {
 						t.After = map[string]bool{}
 						for a := range e.After {
-							if ta := summary.TranslateRoot(a, params, cs.argPaths); ta != "" && pathDepth(ta) <= maxPathDepth {
+							if ta := summary.TranslateRoot(a, params, cs.argPaths); ta != "" && lockset.PathDepth(ta) <= maxPathDepth {
 								t.After[ta] = true
 							}
 						}
@@ -750,7 +740,7 @@ func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[
 					Message: fmt.Sprintf("blocking recv() on %q while holding %q, which %s must acquire before it can send",
 						e.Res, qlocks[common], s.fn),
 					Notes: []string{
-						fmt.Sprintf("receiver: recv at %s holding %s", ctx.Fset.Position(e.Span.Start), locksString(e.Locks)),
+						fmt.Sprintf("receiver: recv at %s holding %s", ctx.Fset.Position(e.Span.Start), lockset.LocksString(e.Locks)),
 						fmt.Sprintf("sender: %s sends on %q at %s only after acquiring %q", s.fn, s.chanPath, ctx.Fset.Position(s.span.Start), common),
 						"hold-and-wait cycle: with these two threads interleaved, neither the message nor the lock can ever be released",
 					},
@@ -1029,7 +1019,7 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 			if e.Kind != opNotify || e.Fn == name {
 				continue
 			}
-			root := pathRoot(e.Res)
+			root := lockset.PathRoot(e.Res)
 			info := infos[name]
 			if root != "self" && (info.params[root] || info.captures[root]) {
 				continue // still unresolved at this level
@@ -1076,7 +1066,7 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 	for _, name := range names {
 		info := infos[name]
 		for _, w := range info.waits {
-			root := pathRoot(w.cv)
+			root := lockset.PathRoot(w.cv)
 			// A condvar handed in from outside (parameter or closure
 			// capture) is judged at the caller that can name it — the
 			// propagated pass below — and stays silent if no caller can.
@@ -1092,7 +1082,7 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 			if e.Kind != opWait || e.Fn == name {
 				continue
 			}
-			root := pathRoot(e.Res)
+			root := lockset.PathRoot(e.Res)
 			if root != "self" && (info.params[root] || info.captures[root]) {
 				continue // the identity never resolved: escape = silence
 			}
@@ -1119,10 +1109,10 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 				continue
 			}
 			t := e.Res
-			root := pathRoot(t)
+			root := lockset.PathRoot(t)
 			if closureInfo != nil && closureInfo.captures[root] {
-				if canon := info.res.canonName(root); canon != "" {
-					t = rewriteRoot(t, root, canon)
+				if canon := info.res.CanonName(root); canon != "" {
+					t = lockset.RewriteRoot(t, root, canon)
 				}
 			}
 			if summary.NormalizePath(t) == site {
@@ -1168,7 +1158,7 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 			if calleeInfo == nil {
 				continue
 			}
-			params := paramNames(ctx.Bodies[cs.callee])
+			params := mir.ParamNames(ctx.Bodies[cs.callee])
 			for _, oc := range calleeInfo.onces {
 				if oc.closure != "" || oc.closureParam < 0 || oc.closureParam >= len(cs.argClosures) {
 					continue
@@ -1178,7 +1168,7 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 					continue
 				}
 				oncePath := summary.TranslateRoot(oc.once, params, cs.argPaths)
-				if oncePath == "" || pathDepth(oncePath) > maxPathDepth {
+				if oncePath == "" || lockset.PathDepth(oncePath) > maxPathDepth {
 					continue
 				}
 				e := reentrant(info, cn, oncePath)
@@ -1218,11 +1208,11 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 		// name shared with a spawned closure) to a visible channel and
 		// which half it is.
 		chanOf := func(path string) (idx int, recvHalf bool, ok bool) {
-			root := pathRoot(path)
+			root := lockset.PathRoot(path)
 			if path != root {
 				return 0, false, false // projections: not a plain endpoint
 			}
-			l, has := info.res.byName[root]
+			l, has := info.res.Local(root)
 			if !has {
 				return 0, false, false
 			}
@@ -1260,7 +1250,7 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 				// In a spawned context, only capture-rooted paths name
 				// the spawner's channels; closure-local channels are a
 				// different resource even under a colliding name.
-				if capInfo != nil && !capInfo.captures[pathRoot(e.Res)] {
+				if capInfo != nil && !capInfo.captures[lockset.PathRoot(e.Res)] {
 					continue
 				}
 				ci, recvHalf, ok := chanOf(e.Res)
@@ -1278,7 +1268,7 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 				}
 				after := map[int]bool{}
 				for a := range e.After {
-					if capInfo != nil && !capInfo.captures[pathRoot(a)] {
+					if capInfo != nil && !capInfo.captures[lockset.PathRoot(a)] {
 						continue
 					}
 					if ai, aRecv, ok := chanOf(a); ok && aRecv {
@@ -1411,7 +1401,7 @@ func (d *Detector) escapedChannels(ctx *detect.Context, info *funcInfo) map[int]
 			// statement scan already classified.
 			continue
 		case mir.IntrinsicNone:
-			if resolvedCallee(ctx, c) != "" {
+			if ctx.Callee(c) != "" {
 				continue // flows into summaries we scan
 			}
 			for _, a := range c.Args {
@@ -1460,100 +1450,4 @@ func unavoidable(body *mir.Body, g *cfg.Graph, at mir.BlockID) bool {
 		}
 	}
 	return true
-}
-
-func cloneLocks(locks map[string]doublelock.Mode) map[string]doublelock.Mode {
-	out := make(map[string]doublelock.Mode, len(locks))
-	for id, m := range locks {
-		out[id] = m
-	}
-	return out
-}
-
-func translateLocks(locks map[string]doublelock.Mode, params, argPaths []string) map[string]doublelock.Mode {
-	out := map[string]doublelock.Mode{}
-	for id, m := range locks {
-		if t := summary.TranslateRoot(id, params, argPaths); t != "" {
-			out[t] = m
-		}
-	}
-	return out
-}
-
-func locksString(locks map[string]doublelock.Mode) string {
-	if len(locks) == 0 {
-		return "no locks"
-	}
-	ids := make([]string, 0, len(locks))
-	for id := range locks {
-		ids = append(ids, fmt.Sprintf("%s(%s)", id, locks[id]))
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, ", ")
-}
-
-// closureLocals maps locals holding a closure value to the closure body
-// name, propagated through moves.
-func closureLocals(body *mir.Body) map[mir.LocalID]string {
-	out := map[mir.LocalID]string{}
-	changed := true
-	for changed {
-		changed = false
-		for _, blk := range body.Blocks {
-			for _, st := range blk.Stmts {
-				as, ok := st.(mir.Assign)
-				if !ok || !as.Place.IsLocal() {
-					continue
-				}
-				if _, done := out[as.Place.Local]; done {
-					continue
-				}
-				switch rv := as.Rvalue.(type) {
-				case mir.Aggregate:
-					if rv.Kind == mir.AggClosure {
-						out[as.Place.Local] = rv.Name
-						changed = true
-					}
-				case mir.Use:
-					if pl, ok := mir.OperandPlace(rv.X); ok && pl.IsLocal() {
-						if cn, has := out[pl.Local]; has {
-							out[as.Place.Local] = cn
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-func paramNames(body *mir.Body) []string {
-	if body == nil {
-		return nil
-	}
-	out := make([]string, 0, body.ArgCount)
-	for i := 1; i <= body.ArgCount && i < len(body.Locals); i++ {
-		out = append(out, body.Locals[i].Name)
-	}
-	return out
-}
-
-func methodName(callee string) string {
-	if i := strings.LastIndex(callee, "::"); i >= 0 {
-		return callee[i+2:]
-	}
-	return callee
-}
-
-func resolvedCallee(ctx *detect.Context, c mir.Call) string {
-	if c.Def != nil {
-		if _, ok := ctx.Bodies[c.Def.Qualified]; ok {
-			return c.Def.Qualified
-		}
-	}
-	if _, ok := ctx.Bodies[c.Callee]; ok {
-		return c.Callee
-	}
-	return ""
 }

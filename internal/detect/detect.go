@@ -11,6 +11,8 @@ import (
 	"sync"
 
 	"rustprobe/internal/callgraph"
+	"rustprobe/internal/cfg"
+	"rustprobe/internal/detect/lockset"
 	"rustprobe/internal/dropflow"
 	"rustprobe/internal/hir"
 	"rustprobe/internal/mir"
@@ -72,22 +74,54 @@ func (f Finding) Format(fset *source.FileSet) string {
 }
 
 // Context carries everything a detector needs. Program, Bodies, Graph
-// and Fset are immutable after NewContext, and the points-to cache is
-// mutex-guarded, so independent detectors may share one Context from
-// concurrent goroutines.
+// and Fset are immutable after NewContext, and the per-function caches
+// are mutex-guarded, so independent detectors may share one Context from
+// concurrent goroutines. The caches live as long as the Context: one
+// analysis round.
 type Context struct {
 	Program *hir.Program
 	Bodies  map[string]*mir.Body
 	Graph   *callgraph.Graph
 	Fset    *source.FileSet
 
-	mu  sync.Mutex
-	pts map[string]*pointsto.Result
+	cfgs  memo[*cfg.Graph]
+	locks memo[*lockset.Locks]
+	paths memo[*lockset.Resolver]
+	pts   memo[*pointsto.Result]
 
 	dropOnce sync.Once
 	dropSums map[string]*dropflow.FnSummary
-	dropMu   sync.Mutex
-	dropRes  map[string]*dropflow.Result
+	dropRes  memo[*dropflow.Result]
+}
+
+// memo caches one per-function fact. The computation runs outside the
+// lock so concurrent detectors never serialize on each other's analyses;
+// when two race, the first stored value wins and the other is discarded,
+// so every caller sees one pointer per function. A computation that
+// panics stores nothing.
+type memo[T any] struct {
+	mu sync.Mutex
+	m  map[string]T
+}
+
+func (m *memo[T]) get(fn string, compute func() T) T {
+	m.mu.Lock()
+	if v, ok := m.m[fn]; ok {
+		m.mu.Unlock()
+		return v
+	}
+	m.mu.Unlock()
+	v := compute()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, ok := m.m[fn]; ok {
+		return prev
+	}
+	if m.m == nil {
+		m.m = map[string]T{}
+	}
+	m.m[fn] = v
+	return v
 }
 
 // NewContext builds a Context, precomputing the call graph.
@@ -105,35 +139,52 @@ func NewContextWithGraph(prog *hir.Program, bodies map[string]*mir.Body, g *call
 		Bodies:  bodies,
 		Graph:   g,
 		Fset:    prog.Fset,
-		pts:     map[string]*pointsto.Result{},
-		dropRes: map[string]*dropflow.Result{},
 	}
 }
 
-// PointsTo returns (caching) the points-to result for a function. The
-// analysis runs outside the lock so concurrent detectors never serialize
-// on each other's fixpoints; a rare duplicate computation is discarded.
-// Unknown function names yield an empty result rather than panicking on
+// CFG returns (caching) the control-flow graph of a function's body. The
+// Graph is shared by every detector and must be treated as immutable.
+func (c *Context) CFG(fn string) *cfg.Graph {
+	return c.cfgs.get(fn, func() *cfg.Graph { return cfg.New(c.Bodies[fn]) })
+}
+
+// Locks returns (caching) a function's guard origins and guard liveness.
+func (c *Context) Locks(fn string) *lockset.Locks {
+	return c.locks.get(fn, func() *lockset.Locks { return lockset.Analyze(c.Bodies[fn], c.CFG(fn)) })
+}
+
+// Paths returns (caching) a function's alias resolver, which names its
+// places in the lock-id path language.
+func (c *Context) Paths(fn string) *lockset.Resolver {
+	return c.paths.get(fn, func() *lockset.Resolver {
+		return lockset.NewResolver(c.Bodies[fn], c.Locks(fn), c.PointsTo(fn))
+	})
+}
+
+// Callee resolves a call to the name of a body in this context: the
+// resolver's definition when it has a body, else the callee text, else
+// "" for a call that leaves the analyzed program.
+func (c *Context) Callee(call mir.Call) string {
+	if call.Def != nil {
+		if _, ok := c.Bodies[call.Def.Qualified]; ok {
+			return call.Def.Qualified
+		}
+	}
+	if _, ok := c.Bodies[call.Callee]; ok {
+		return call.Callee
+	}
+	return ""
+}
+
+// PointsTo returns (caching) the points-to result for a function. Unknown
+// function names yield an empty, uncached result rather than panicking on
 // a nil body.
 func (c *Context) PointsTo(fn string) *pointsto.Result {
-	c.mu.Lock()
-	if r, ok := c.pts[fn]; ok {
-		c.mu.Unlock()
-		return r
-	}
-	c.mu.Unlock()
 	body := c.Bodies[fn]
 	if body == nil {
 		return &pointsto.Result{PointsTo: map[mir.LocalID]map[mir.LocalID]bool{}}
 	}
-	r := pointsto.Analyze(body)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.pts[fn]; ok {
-		return prev
-	}
-	c.pts[fn] = r
-	return r
+	return c.pts.get(fn, func() *pointsto.Result { return pointsto.Analyze(body) })
 }
 
 // DropFlowSummaries returns (computing once) the shared context-sensitive
@@ -148,28 +199,16 @@ func (c *Context) DropFlowSummaries() map[string]*dropflow.FnSummary {
 }
 
 // DropFlow returns (caching) the path-sensitive drop-and-alias walk for a
-// function. Like PointsTo, the walk runs outside the lock; the shared
-// Result must be treated as immutable by all detectors.
+// function. The shared Result must be treated as immutable by all
+// detectors.
 func (c *Context) DropFlow(fn string) *dropflow.Result {
-	c.dropMu.Lock()
-	if r, ok := c.dropRes[fn]; ok {
-		c.dropMu.Unlock()
-		return r
-	}
-	c.dropMu.Unlock()
-	sums := c.DropFlowSummaries()
-	body := c.Bodies[fn]
-	r := dropflow.Analyze(body, dropflow.Options{Lookup: func(name string) (*dropflow.FnSummary, bool) {
-		s, ok := sums[name]
-		return s, ok
-	}})
-	c.dropMu.Lock()
-	defer c.dropMu.Unlock()
-	if prev, ok := c.dropRes[fn]; ok {
-		return prev
-	}
-	c.dropRes[fn] = r
-	return r
+	return c.dropRes.get(fn, func() *dropflow.Result {
+		sums := c.DropFlowSummaries()
+		return dropflow.Analyze(c.Bodies[fn], dropflow.Options{Lookup: func(name string) (*dropflow.FnSummary, bool) {
+			s, ok := sums[name]
+			return s, ok
+		}})
+	})
 }
 
 // Detector is one analysis pass over a Context.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rustprobe/internal/callgraph"
 	"rustprobe/internal/hir"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
@@ -79,5 +80,42 @@ func TestContextPointsToCached(t *testing.T) {
 func TestSeverityString(t *testing.T) {
 	if SeverityWarning.String() != "warning" || SeverityError.String() != "error" {
 		t.Error("severity strings wrong")
+	}
+}
+
+// TestContextMemoStoresNothingOnPanic: a fact whose computation panics
+// leaves no cache entry, so each later caller raises its own panic
+// instead of reading a half-built value.
+func TestContextMemoStoresNothingOnPanic(t *testing.T) {
+	prog := hir.NewProgram(source.NewFileSet())
+	ctx := NewContextWithGraph(prog, map[string]*mir.Body{"broken": nil}, callgraph.Build(nil))
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("call %d: CFG of a nil body did not panic", i)
+				}
+			}()
+			ctx.CFG("broken")
+		}()
+	}
+}
+
+func TestContextCallee(t *testing.T) {
+	prog := hir.NewProgram(source.NewFileSet())
+	body := &mir.Body{}
+	ctx := NewContextWithGraph(prog, map[string]*mir.Body{"S::run": body, "helper": body}, callgraph.Build(nil))
+	for _, tc := range []struct {
+		call mir.Call
+		want string
+	}{
+		{mir.Call{Def: &hir.FuncDef{Qualified: "S::run"}, Callee: "run"}, "S::run"},
+		{mir.Call{Def: &hir.FuncDef{Qualified: "other::helper"}, Callee: "helper"}, "helper"},
+		{mir.Call{Callee: "helper"}, "helper"},
+		{mir.Call{Callee: "Vec::push"}, ""},
+	} {
+		if got := ctx.Callee(tc.call); got != tc.want {
+			t.Errorf("Callee(def=%v, %q) = %q, want %q", tc.call.Def != nil, tc.call.Callee, got, tc.want)
+		}
 	}
 }

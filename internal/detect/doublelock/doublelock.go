@@ -1,8 +1,8 @@
 // Package doublelock implements the paper's §7.2 double-lock detector. It
 // identifies every lock() / read() / write() call site, extracts the lock
-// being acquired (a source-level path such as "self.client") and the
-// guard-holding local, then computes guard lifetimes: Rust releases a lock
-// when the guard's lifetime ends, i.e. at its Drop/StorageDead or an
+// being acquired (a source-level path such as "self.client") and reads
+// the guard lifetimes internal/detect/lockset computes: Rust releases a
+// lock when the guard's lifetime ends, i.e. at its Drop/StorageDead or an
 // explicit mem::drop. A second acquisition of the same lock while a guard
 // is live is a double lock. The check is inter-procedural: per-function
 // "locks acquired" summaries are propagated bottom-up and translated
@@ -13,42 +13,11 @@ import (
 	"fmt"
 	"strings"
 
-	"rustprobe/internal/cfg"
-	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
+	"rustprobe/internal/detect/lockset"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/summary"
 )
-
-// Mode distinguishes guard kinds.
-type Mode int
-
-// Guard modes.
-const (
-	ModeLock  Mode = iota // Mutex::lock
-	ModeRead              // RwLock::read
-	ModeWrite             // RwLock::write
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeRead:
-		return "read"
-	case ModeWrite:
-		return "write"
-	default:
-		return "lock"
-	}
-}
-
-// Guard describes a guard-holding local: the lock it came from (a
-// source-level path such as "self.client") and the acquisition mode.
-// Exported because the race detector reuses the same guard machinery for
-// its lockset computation.
-type Guard struct {
-	Lock string
-	Mode Mode
-}
 
 // Detector is the double-lock detector.
 type Detector struct {
@@ -68,22 +37,9 @@ func New() *Detector { return &Detector{} }
 // Name implements detect.Detector.
 func (*Detector) Name() string { return "double-lock" }
 
-// acquireIntrinsic maps a call intrinsic to a guard mode.
-func acquireIntrinsic(i mir.Intrinsic) (Mode, bool) {
-	switch i {
-	case mir.IntrinsicLock:
-		return ModeLock, true
-	case mir.IntrinsicRead:
-		return ModeRead, true
-	case mir.IntrinsicWrite:
-		return ModeWrite, true
-	}
-	return ModeLock, false
-}
-
 // Run implements detect.Detector.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
-	var summaries map[string]map[string]Mode
+	var summaries map[string]map[string]lockset.Mode
 	if !d.IntraOnly {
 		summaries = d.buildSummaries(ctx)
 	}
@@ -95,210 +51,16 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 	return out
 }
 
-// Guards statically assigns a Guard to each local that may hold
-// a guard, by propagating from acquiring calls through moves and unwrap.
-func Guards(body *mir.Body) map[mir.LocalID]Guard {
-	origins := map[mir.LocalID]Guard{}
-	changed := true
-	for changed {
-		changed = false
-		set := func(l mir.LocalID, gi Guard) {
-			if _, ok := origins[l]; !ok {
-				origins[l] = gi
-				changed = true
-			}
-		}
-		for _, blk := range body.Blocks {
-			for _, st := range blk.Stmts {
-				as, ok := st.(mir.Assign)
-				if !ok || !as.Place.IsLocal() {
-					continue
-				}
-				if use, ok := as.Rvalue.(mir.Use); ok {
-					if pl, ok := mir.OperandPlace(use.X); ok && pl.IsLocal() {
-						if gi, has := origins[pl.Local]; has {
-							set(as.Place.Local, gi)
-						}
-					}
-				}
-			}
-			if c, ok := blk.Term.(mir.Call); ok && c.Dest.IsLocal() {
-				if mode, isAcq := acquireIntrinsic(c.Intrinsic); isAcq && c.RecvPath != "" {
-					set(c.Dest.Local, Guard{Lock: c.RecvPath, Mode: mode})
-				}
-				// A successful try_lock also yields a guard that blocks a
-				// later lock(); the try itself never deadlocks.
-				if c.Intrinsic == mir.IntrinsicTryLock && c.RecvPath != "" {
-					set(c.Dest.Local, Guard{Lock: c.RecvPath, Mode: ModeLock})
-				}
-				switch c.Intrinsic {
-				case mir.IntrinsicUnwrap, mir.IntrinsicTryLock, mir.IntrinsicCondvarWait:
-					argIdx := 0
-					if c.Intrinsic == mir.IntrinsicCondvarWait {
-						argIdx = 1
-					}
-					if argIdx < len(c.Args) {
-						if pl, ok := mir.OperandPlace(c.Args[argIdx]); ok && pl.IsLocal() {
-							if gi, has := origins[pl.Local]; has {
-								set(c.Dest.Local, gi)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return origins
-}
-
-// LiveGuards runs the forward may-analysis: bit l set means local l holds
-// a live (unreleased) guard.
-func LiveGuards(body *mir.Body, g *cfg.Graph, origins map[mir.LocalID]Guard) *dataflow.Result {
-	prob := &dataflow.Problem{
-		Bits: len(body.Locals),
-		Join: dataflow.JoinUnion,
-		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
-			switch st := st.(type) {
-			case mir.StorageDead:
-				state.Clear(int(st.Local))
-			case mir.Assign:
-				// Guards moved into an aggregate (a struct literal or a
-				// closure environment) leave their source locals: ownership
-				// transfers into the aggregate value, so the source no
-				// longer releases on scope end.
-				if agg, ok := st.Rvalue.(mir.Aggregate); ok {
-					for _, op := range agg.Ops {
-						if pl, ok := mir.OperandPlace(op); ok && pl.IsLocal() && mir.IsMove(op) {
-							if _, isGuard := origins[pl.Local]; isGuard {
-								state.Clear(int(pl.Local))
-							}
-						}
-					}
-				}
-				if !st.Place.IsLocal() {
-					// A guard moved into a non-local place (a struct
-					// field, a slot behind a pointer) leaves the source
-					// local: clear it so a later reacquisition is not a
-					// false positive. The destination's storage is not a
-					// tracked local, so ownership conservatively escapes.
-					if use, ok := st.Rvalue.(mir.Use); ok {
-						if pl, ok := mir.OperandPlace(use.X); ok && pl.IsLocal() {
-							if _, isGuard := origins[pl.Local]; isGuard {
-								state.Clear(int(pl.Local))
-							}
-						}
-					}
-					return
-				}
-				if use, ok := st.Rvalue.(mir.Use); ok {
-					if pl, ok := mir.OperandPlace(use.X); ok && pl.IsLocal() {
-						if _, isGuard := origins[pl.Local]; isGuard && state.Has(int(pl.Local)) {
-							// The guard moves: source releases, dest holds.
-							state.Clear(int(pl.Local))
-							state.Set(int(st.Place.Local))
-							return
-						}
-					}
-				}
-				// Overwriting a guard-holding local drops the old guard.
-				state.Clear(int(st.Place.Local))
-			}
-		},
-		TransferTerm: func(state dataflow.BitSet, _ mir.BlockID, term mir.Terminator) {
-			switch term := term.(type) {
-			case mir.Drop:
-				if term.Place.IsLocal() {
-					state.Clear(int(term.Place.Local))
-				}
-			case mir.Call:
-				if mode, isAcq := acquireIntrinsic(term.Intrinsic); isAcq && term.Dest.IsLocal() {
-					_ = mode
-					if _, tracked := origins[term.Dest.Local]; tracked {
-						state.Set(int(term.Dest.Local))
-					}
-					return
-				}
-				switch term.Intrinsic {
-				case mir.IntrinsicUnwrap, mir.IntrinsicTryLock:
-					if len(term.Args) > 0 {
-						if pl, ok := mir.OperandPlace(term.Args[0]); ok && pl.IsLocal() {
-							if _, isGuard := origins[pl.Local]; isGuard && state.Has(int(pl.Local)) {
-								state.Clear(int(pl.Local))
-								if term.Dest.IsLocal() {
-									state.Set(int(term.Dest.Local))
-								}
-								return
-							}
-						}
-					}
-					// try_lock acquires directly from the lock receiver.
-					if term.Intrinsic == mir.IntrinsicTryLock && term.Dest.IsLocal() {
-						if _, tracked := origins[term.Dest.Local]; tracked {
-							state.Set(int(term.Dest.Local))
-						}
-					}
-				case mir.IntrinsicCondvarWait:
-					// wait(cv, guard) releases during the wait and returns
-					// a reacquired guard: transfer, never double-lock.
-					if len(term.Args) > 1 {
-						if pl, ok := mir.OperandPlace(term.Args[1]); ok && pl.IsLocal() {
-							state.Clear(int(pl.Local))
-						}
-					}
-					if term.Dest.IsLocal() {
-						if _, tracked := origins[term.Dest.Local]; tracked {
-							state.Set(int(term.Dest.Local))
-						}
-					}
-				case mir.IntrinsicForget:
-					if len(term.Args) > 0 {
-						if pl, ok := mir.OperandPlace(term.Args[0]); ok && pl.IsLocal() {
-							state.Clear(int(pl.Local))
-						}
-					}
-				default:
-					// A guard moved into a call is consumed there.
-					for _, a := range term.Args {
-						if pl, ok := mir.OperandPlace(a); ok && pl.IsLocal() && mir.IsMove(a) {
-							if _, isGuard := origins[pl.Local]; isGuard {
-								state.Clear(int(pl.Local))
-							}
-						}
-					}
-					if term.Dest.IsLocal() {
-						state.Clear(int(term.Dest.Local))
-					}
-				}
-			}
-		},
-	}
-	return dataflow.Forward(g, prob)
-}
-
-// Held returns the lock identities live at a program point.
-func Held(state dataflow.BitSet, origins map[mir.LocalID]Guard) map[string]Mode {
-	held := map[string]Mode{}
-	state.ForEach(func(l int) {
-		if gi, ok := origins[mir.LocalID(l)]; ok {
-			// Writes dominate in the merged view.
-			if cur, exists := held[gi.Lock]; !exists || gi.Mode > cur {
-				held[gi.Lock] = gi.Mode
-			}
-		}
-	})
-	return held
-}
-
 // buildSummaries computes, bottom-up over the call graph, the set of lock
 // ids each function may acquire (transitively), expressed in its own
 // namespace (only self-rooted and static ids propagate upward). The SCC
 // fixpoint in internal/summary makes the propagation sound through
 // mutual recursion and call chains of any length — the previous bounded
 // two-round pass silently under-approximated cyclic call graphs.
-func (d *Detector) buildSummaries(ctx *detect.Context) map[string]map[string]Mode {
-	prob := &summary.Problem[map[string]Mode]{
-		Bottom: func(string) map[string]Mode { return map[string]Mode{} },
-		Equal: func(a, b map[string]Mode) bool {
+func (d *Detector) buildSummaries(ctx *detect.Context) map[string]map[string]lockset.Mode {
+	prob := &summary.Problem[map[string]lockset.Mode]{
+		Bottom: func(string) map[string]lockset.Mode { return map[string]lockset.Mode{} },
+		Equal: func(a, b map[string]lockset.Mode) bool {
 			if len(a) != len(b) {
 				return false
 			}
@@ -309,10 +71,10 @@ func (d *Detector) buildSummaries(ctx *detect.Context) map[string]map[string]Mod
 			}
 			return true
 		},
-		Transfer: func(name string, get summary.Lookup[map[string]Mode]) map[string]Mode {
+		Transfer: func(name string, get summary.Lookup[map[string]lockset.Mode]) map[string]lockset.Mode {
 			body := ctx.Bodies[name]
-			s := map[string]Mode{}
-			add := func(id string, mode Mode) {
+			s := map[string]lockset.Mode{}
+			add := func(id string, mode lockset.Mode) {
 				if cur, exists := s[id]; !exists || mode > cur {
 					s[id] = mode
 				}
@@ -322,11 +84,11 @@ func (d *Detector) buildSummaries(ctx *detect.Context) map[string]map[string]Mod
 				if !ok {
 					continue
 				}
-				if mode, isAcq := acquireIntrinsic(c.Intrinsic); isAcq && c.RecvPath != "" {
+				if mode, isAcq := lockset.Acquire(c.Intrinsic); isAcq && c.RecvPath != "" {
 					add(c.RecvPath, mode)
 					continue
 				}
-				calleeName := resolvedCallee(ctx, c)
+				calleeName := ctx.Callee(c)
 				if calleeName == "" {
 					continue
 				}
@@ -352,32 +114,19 @@ func (d *Detector) buildSummaries(ctx *detect.Context) map[string]map[string]Mod
 	return summary.Compute(ctx.Graph, prob).Summaries
 }
 
-func resolvedCallee(ctx *detect.Context, c mir.Call) string {
-	if c.Def != nil {
-		if _, ok := ctx.Bodies[c.Def.Qualified]; ok {
-			return c.Def.Qualified
-		}
-	}
-	if _, ok := ctx.Bodies[c.Callee]; ok {
-		return c.Callee
-	}
-	return ""
-}
-
 // conflicts reports whether acquiring `mode` on a lock already held in
 // `heldMode` deadlocks.
-func (d *Detector) conflicts(heldMode, mode Mode) bool {
-	if heldMode == ModeRead && mode == ModeRead {
+func (d *Detector) conflicts(heldMode, mode lockset.Mode) bool {
+	if heldMode == lockset.ModeRead && mode == lockset.ModeRead {
 		return d.FlagReadRead
 	}
 	return true
 }
 
-func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[string]map[string]Mode) []detect.Finding {
+func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[string]map[string]lockset.Mode) []detect.Finding {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
-	origins := Guards(body)
-	res := LiveGuards(body, g, origins)
+	g := ctx.CFG(name)
+	locks := ctx.Locks(name)
 
 	var out []detect.Finding
 	for _, blk := range body.Blocks {
@@ -388,10 +137,9 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 		if !ok {
 			continue
 		}
-		state := res.StateAt(blk.ID, len(blk.Stmts))
-		held := Held(state, origins)
+		held := lockset.Held(locks.Live.StateAt(blk.ID, len(blk.Stmts)), locks.Guards)
 
-		if mode, isAcq := acquireIntrinsic(c.Intrinsic); isAcq && c.RecvPath != "" {
+		if mode, isAcq := lockset.Acquire(c.Intrinsic); isAcq && c.RecvPath != "" {
 			if heldMode, isHeld := held[c.RecvPath]; isHeld && d.conflicts(heldMode, mode) {
 				out = append(out, detect.Finding{
 					Kind:     detect.KindDoubleLock,
@@ -410,7 +158,7 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 
 		// Inter-procedural: calling a function that (transitively)
 		// acquires a lock we hold.
-		calleeName := resolvedCallee(ctx, c)
+		calleeName := ctx.Callee(c)
 		if calleeName == "" || len(held) == 0 {
 			continue
 		}

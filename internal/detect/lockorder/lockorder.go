@@ -1,8 +1,9 @@
 // Package lockorder detects conflicting lock acquisition orders (an AB-BA
 // deadlock), the second-most-common blocking-bug cause in the paper's §6.1
-// (7 of 38 Mutex/RwLock bugs). It reuses the double-lock machinery's guard
-// lifetimes: for every acquisition performed while another lock is held it
-// records an ordered pair, then reports pairs observed in both directions.
+// (7 of 38 Mutex/RwLock bugs). It reads the same guard lifetimes as the
+// double-lock detector (internal/detect/lockset): for every acquisition
+// performed while another lock is held it records an ordered pair, then
+// reports pairs observed in both directions.
 // The check is inter-procedural: per-function acquisition summaries built
 // on the shared SCC-fixpoint framework (internal/summary) let a call made
 // while a lock is held contribute pairs for every lock the callee may
@@ -14,9 +15,8 @@ import (
 	"sort"
 	"strings"
 
-	"rustprobe/internal/cfg"
-	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
+	"rustprobe/internal/detect/lockset"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
 	"rustprobe/internal/summary"
@@ -217,7 +217,7 @@ func buildSummaries(ctx *detect.Context, warm *summary.Result[map[string]bool], 
 					}
 					continue
 				}
-				calleeName := resolvedCallee(ctx, c)
+				calleeName := ctx.Callee(c)
 				if calleeName == "" {
 					continue
 				}
@@ -241,131 +241,14 @@ func buildSummaries(ctx *detect.Context, warm *summary.Result[map[string]bool], 
 	return summary.ComputeFrom(ctx.Graph, prob, warm, recompute)
 }
 
-func resolvedCallee(ctx *detect.Context, c mir.Call) string {
-	if c.Def != nil {
-		if _, ok := ctx.Bodies[c.Def.Qualified]; ok {
-			return c.Def.Qualified
-		}
-	}
-	if _, ok := ctx.Bodies[c.Callee]; ok {
-		return c.Callee
-	}
-	return ""
-}
-
 // extract finds the summary-independent facts of one function: direct
 // (held, acquired) pairs, plus resolved calls made while a guard is live
 // — the latter expanded against callee acquisition summaries at pairing
 // time.
 func extract(ctx *detect.Context, name string) *funcInfo {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
-
-	// Reuse a small local version of the double-lock guard analysis.
-	origins := map[mir.LocalID]string{}
-	changed := true
-	for changed {
-		changed = false
-		for _, blk := range body.Blocks {
-			for _, st := range blk.Stmts {
-				if as, ok := st.(mir.Assign); ok && as.Place.IsLocal() {
-					if use, ok := as.Rvalue.(mir.Use); ok {
-						if pl, ok := mir.OperandPlace(use.X); ok && pl.IsLocal() {
-							if id, has := origins[pl.Local]; has {
-								if _, dup := origins[as.Place.Local]; !dup {
-									origins[as.Place.Local] = id
-									changed = true
-								}
-							}
-						}
-					}
-				}
-			}
-			if c, ok := blk.Term.(mir.Call); ok && c.Dest.IsLocal() {
-				switch c.Intrinsic {
-				case mir.IntrinsicLock, mir.IntrinsicRead, mir.IntrinsicWrite:
-					if c.RecvPath != "" {
-						if _, dup := origins[c.Dest.Local]; !dup {
-							origins[c.Dest.Local] = c.RecvPath
-							changed = true
-						}
-					}
-				case mir.IntrinsicUnwrap:
-					if len(c.Args) > 0 {
-						if pl, ok := mir.OperandPlace(c.Args[0]); ok && pl.IsLocal() {
-							if id, has := origins[pl.Local]; has {
-								if _, dup := origins[c.Dest.Local]; !dup {
-									origins[c.Dest.Local] = id
-									changed = true
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-
-	prob := &dataflow.Problem{
-		Bits: len(body.Locals),
-		Join: dataflow.JoinUnion,
-		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
-			switch st := st.(type) {
-			case mir.StorageDead:
-				state.Clear(int(st.Local))
-			case mir.Assign:
-				if !st.Place.IsLocal() {
-					// Guard moved into a field/deref place: the source
-					// local no longer holds it (same rule as doublelock).
-					if use, ok := st.Rvalue.(mir.Use); ok {
-						if pl, ok := mir.OperandPlace(use.X); ok && pl.IsLocal() {
-							if _, isGuard := origins[pl.Local]; isGuard {
-								state.Clear(int(pl.Local))
-							}
-						}
-					}
-					return
-				}
-				if use, ok := st.Rvalue.(mir.Use); ok {
-					if pl, ok := mir.OperandPlace(use.X); ok && pl.IsLocal() && state.Has(int(pl.Local)) {
-						if _, isGuard := origins[pl.Local]; isGuard {
-							state.Clear(int(pl.Local))
-							state.Set(int(st.Place.Local))
-							return
-						}
-					}
-				}
-				state.Clear(int(st.Place.Local))
-			}
-		},
-		TransferTerm: func(state dataflow.BitSet, _ mir.BlockID, term mir.Terminator) {
-			switch term := term.(type) {
-			case mir.Drop:
-				if term.Place.IsLocal() {
-					state.Clear(int(term.Place.Local))
-				}
-			case mir.Call:
-				switch term.Intrinsic {
-				case mir.IntrinsicLock, mir.IntrinsicRead, mir.IntrinsicWrite:
-					if term.Dest.IsLocal() {
-						if _, tracked := origins[term.Dest.Local]; tracked {
-							state.Set(int(term.Dest.Local))
-						}
-					}
-				case mir.IntrinsicUnwrap:
-					if len(term.Args) > 0 {
-						if pl, ok := mir.OperandPlace(term.Args[0]); ok && pl.IsLocal() && state.Has(int(pl.Local)) {
-							state.Clear(int(pl.Local))
-							if term.Dest.IsLocal() {
-								state.Set(int(term.Dest.Local))
-							}
-						}
-					}
-				}
-			}
-		},
-	}
-	res := dataflow.Forward(g, prob)
+	g := ctx.CFG(name)
+	locks := ctx.Locks(name)
 
 	info := &funcInfo{body: body}
 	for _, blk := range body.Blocks {
@@ -376,13 +259,7 @@ func extract(ctx *detect.Context, name string) *funcInfo {
 		if !ok {
 			continue
 		}
-		state := res.StateAt(blk.ID, len(blk.Stmts))
-		held := map[string]bool{}
-		state.ForEach(func(l int) {
-			if id, isGuard := origins[mir.LocalID(l)]; isGuard {
-				held[id] = true
-			}
-		})
+		held := lockset.Held(locks.Live.StateAt(blk.ID, len(blk.Stmts)), locks.Guards)
 		if len(held) == 0 {
 			continue
 		}
@@ -400,7 +277,7 @@ func extract(ctx *detect.Context, name string) *funcInfo {
 		default:
 			// Inter-procedural: a call made while a guard is live orders
 			// the held lock before everything the callee may acquire.
-			calleeName := resolvedCallee(ctx, c)
+			calleeName := ctx.Callee(c)
 			if calleeName == "" {
 				continue
 			}

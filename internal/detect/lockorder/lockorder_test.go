@@ -215,3 +215,51 @@ impl Shared {
 		t.Fatalf("consistent order flagged: %+v", findings)
 	}
 }
+
+// TestGuardLifetimesMatchDoubleLock pins lockorder to the double-lock
+// detector's guard rules: a guard moved into a call or into an aggregate
+// is no longer held, and a try_lock guard is held like any other.
+func TestGuardLifetimesMatchDoubleLock(t *testing.T) {
+	const prelude = `
+struct Shared { a: Mutex<i32>, b: Mutex<i32> }
+struct Holder { g: MutexGuard<i32> }
+fn consume(g: MutexGuard<i32>) {}
+impl Shared {
+    fn reverse(&self) {
+        let gb = self.b.lock().unwrap();
+        let ga = self.a.lock().unwrap();
+    }
+`
+	cases := []struct {
+		name string
+		body string
+		want int
+	}{
+		{"guard moved into a call", `
+    fn forward(&self) {
+        let g = self.a.lock().unwrap();
+        consume(g);
+        let h = self.b.lock().unwrap();
+    }`, 0},
+		{"guard moved into an aggregate", `
+    fn forward(&self) {
+        let g = self.a.lock().unwrap();
+        let hold = Holder { g: g };
+        mem::forget(hold);
+        let h = self.b.lock().unwrap();
+    }`, 0},
+		{"try_lock guard held", `
+    fn forward(&self) {
+        let g = self.a.try_lock().unwrap();
+        let h = self.b.lock().unwrap();
+    }`, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			findings := analyze(t, prelude+tc.body+"\n}\n")
+			if len(findings) != tc.want {
+				t.Fatalf("findings = %d, want %d: %+v", len(findings), tc.want, findings)
+			}
+		})
+	}
+}

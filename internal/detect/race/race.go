@@ -8,8 +8,9 @@
 //     items, layered on the per-function points-to results;
 //  2. an inter-procedural lockset computation — which locks are held at
 //     each MIR statement — runs as a monotone transfer function on the
-//     internal/summary SCC fixpoint, reusing the double-lock detector's
-//     guard-lifetime machinery and extending it across calls;
+//     internal/summary SCC fixpoint, reading the guard lifetimes shared
+//     with the other lock detectors (internal/detect/lockset) and
+//     extending them across calls;
 //  3. a conflicting-access pairer reports two accesses to the same escaped
 //     place, at least one a write, from distinct spawn contexts, whose
 //     locksets share no common lock.
@@ -27,7 +28,7 @@ import (
 
 	"rustprobe/internal/cfg"
 	"rustprobe/internal/detect"
-	"rustprobe/internal/detect/doublelock"
+	"rustprobe/internal/detect/lockset"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
 	"rustprobe/internal/summary"
@@ -46,7 +47,7 @@ type Access struct {
 	Fn       string
 	Span     source.Span
 	At       mir.BlockID // block in the summary owner's body, for post-spawn filtering
-	Locks    map[string]doublelock.Mode
+	Locks    map[string]lockset.Mode
 }
 
 func (a *Access) key() string {
@@ -55,7 +56,7 @@ func (a *Access) key() string {
 
 func (a *Access) clone() *Access {
 	c := *a
-	c.Locks = make(map[string]doublelock.Mode, len(a.Locks))
+	c.Locks = make(map[string]lockset.Mode, len(a.Locks))
 	for k, v := range a.Locks {
 		c.Locks[k] = v
 	}
@@ -99,7 +100,7 @@ type callSite struct {
 	callee   string
 	at       mir.BlockID
 	argPaths []string
-	held     map[string]doublelock.Mode
+	held     map[string]lockset.Mode
 }
 
 // funcInfo caches the per-function analyses shared by the summary
@@ -108,7 +109,7 @@ type funcInfo struct {
 	name   string
 	body   *mir.Body
 	g      *cfg.Graph
-	res    *resolver
+	res    *lockset.Resolver
 	own    []*Access
 	calls  []callSite
 	spawns []spawnSite
@@ -172,28 +173,17 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 // accesses with locksets, its resolved call sites, and its spawn sites.
 func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
-	guards := doublelock.Guards(body)
-	live := doublelock.LiveGuards(body, g, guards)
-	res := newResolver(ctx, name, body, guards)
+	g := ctx.CFG(name)
+	res := ctx.Paths(name)
 	info := &funcInfo{name: name, body: body, g: g, res: res}
 
-	closureOf := closureLocals(body)
-
-	heldAt := func(blk mir.BlockID, idx int) map[string]doublelock.Mode {
-		held := doublelock.Held(live.StateAt(blk, idx), guards)
-		canon := make(map[string]doublelock.Mode, len(held))
-		for id, m := range held {
-			canon[res.canonPath(id)] = m
-		}
-		return canon
-	}
-	record := func(pl mir.Place, write, interior bool, sp source.Span, blk mir.BlockID, held map[string]doublelock.Mode) {
+	closureOf := mir.ClosureLocals(body)
+	record := func(pl mir.Place, write, interior bool, sp source.Span, blk mir.BlockID, held map[string]lockset.Mode) {
 		if len(pl.Proj) == 0 && !isStaticLocal(body, pl.Local) {
 			return // a bare binding is not a shared-memory access
 		}
-		p := res.placePath(pl)
-		if p == "" || pathDepth(p) > maxPathDepth {
+		p := res.PlacePath(pl)
+		if p == "" || lockset.PathDepth(p) > maxPathDepth {
 			return
 		}
 		info.own = append(info.own, &Access{
@@ -201,10 +191,10 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			// Every Access owns its lock map: the held map is shared by all
 			// accesses recorded at one statement, and summary merging must
 			// never reach back into a sibling's (or info.own's) lockset.
-			Fn: name, Span: sp, At: blk, Locks: cloneLocks(held),
+			Fn: name, Span: sp, At: blk, Locks: lockset.CloneLocks(held),
 		})
 	}
-	readOperand := func(op mir.Operand, sp source.Span, blk mir.BlockID, held map[string]doublelock.Mode) {
+	readOperand := func(op mir.Operand, sp source.Span, blk mir.BlockID, held map[string]lockset.Mode) {
 		if pl, ok := mir.OperandPlace(op); ok {
 			record(pl, false, false, sp, blk, held)
 		}
@@ -219,7 +209,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			if !ok {
 				continue
 			}
-			held := heldAt(blk.ID, i)
+			held := res.Held(blk.ID, i)
 			record(as.Place, true, false, as.Span, blk.ID, held)
 			switch rv := as.Rvalue.(type) {
 			case mir.Use:
@@ -243,7 +233,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		if !ok {
 			continue
 		}
-		held := heldAt(blk.ID, len(blk.Stmts))
+		held := res.Held(blk.ID, len(blk.Stmts))
 		if c.Intrinsic == mir.IntrinsicSpawn {
 			for _, a := range c.Args {
 				pl, ok := mir.OperandPlace(a)
@@ -270,25 +260,25 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 				readOperand(a, c.Span, blk.ID, held)
 			}
 		}
-		callee := resolvedCallee(ctx, c)
+		callee := ctx.Callee(c)
 		if callee != "" {
 			cs := callSite{callee: callee, at: blk.ID, held: held}
 			for _, a := range c.Args {
 				p := ""
 				if pl, ok := mir.OperandPlace(a); ok {
-					p = res.valuePath(pl)
+					p = res.ValuePath(pl)
 				}
 				cs.argPaths = append(cs.argPaths, p)
 			}
 			info.calls = append(info.calls, cs)
-		} else if c.Intrinsic == mir.IntrinsicNone && c.RecvPath != "" && mutatingMethods[methodName(c.Callee)] {
+		} else if c.Intrinsic == mir.IntrinsicNone && c.RecvPath != "" && mutatingMethods[mir.MethodName(c.Callee)] {
 			// A mutating container method through an unknown callee is an
 			// interior write to the receiver's storage.
-			p := res.canonPath(c.RecvPath)
-			if p != "" && pathDepth(p) <= maxPathDepth {
+			p := res.CanonPath(c.RecvPath)
+			if p != "" && lockset.PathDepth(p) <= maxPathDepth {
 				info.own = append(info.own, &Access{
 					Path: p, Write: true, Interior: true,
-					Fn: name, Span: c.Span, At: blk.ID, Locks: cloneLocks(held),
+					Fn: name, Span: c.Span, At: blk.ID, Locks: lockset.CloneLocks(held),
 				})
 			}
 		}
@@ -317,16 +307,16 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 				if !known {
 					continue
 				}
-				params := paramNames(ctx.Bodies[cs.callee])
+				params := mir.ParamNames(ctx.Bodies[cs.callee])
 				for _, a := range calleeSum {
 					p := summary.TranslateRoot(a.Path, params, cs.argPaths)
-					if p == "" || pathDepth(p) > maxPathDepth {
+					if p == "" || lockset.PathDepth(p) > maxPathDepth {
 						continue
 					}
 					t := a.clone()
 					t.Path = p
 					t.At = cs.at
-					t.Locks = translateLocks(a.Locks, params, cs.argPaths)
+					t.Locks = lockset.TranslateLocks(a.Locks, params, cs.argPaths)
 					for id, m := range cs.held {
 						if cur, ok := t.Locks[id]; !ok || m > cur {
 							t.Locks[id] = m
@@ -365,24 +355,6 @@ func mergeAccess(s accSummary, a *Access) {
 		}
 	}
 	s[a.key()] = merged
-}
-
-func cloneLocks(locks map[string]doublelock.Mode) map[string]doublelock.Mode {
-	out := make(map[string]doublelock.Mode, len(locks))
-	for id, m := range locks {
-		out[id] = m
-	}
-	return out
-}
-
-func translateLocks(locks map[string]doublelock.Mode, params, argPaths []string) map[string]doublelock.Mode {
-	out := map[string]doublelock.Mode{}
-	for id, m := range locks {
-		if t := summary.TranslateRoot(id, params, argPaths); t != "" {
-			out[t] = m
-		}
-	}
-	return out
 }
 
 func summariesEqual(a, b accSummary) bool {
@@ -460,8 +432,8 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			continue
 		}
 		for _, c := range cbody.Captures {
-			if root := info.res.canonName(c); root != "" {
-				escaped[pathRoot(root)] = true
+			if root := info.res.CanonName(c); root != "" {
+				escaped[lockset.PathRoot(root)] = true
 			}
 		}
 	}
@@ -484,7 +456,7 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			inLoop: info.g.ReachableFrom(sp.target)[sp.at],
 		}
 		for _, a := range sortedAccs(sums[sp.closure]) {
-			root := pathRoot(a.Path)
+			root := lockset.PathRoot(a.Path)
 			var rewritten *Access
 			switch {
 			case strings.HasPrefix(root, "static "):
@@ -492,18 +464,18 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			case caps[root]:
 				// Capture-rooted: rename into the spawner's namespace
 				// through the alias map (svc → service).
-				canon := info.res.canonName(root)
+				canon := info.res.CanonName(root)
 				if canon == "" {
 					canon = root
 				}
 				rewritten = a.clone()
-				rewritten.Path = rewriteRoot(a.Path, root, canon)
-				newLocks := map[string]doublelock.Mode{}
+				rewritten.Path = lockset.RewriteRoot(a.Path, root, canon)
+				newLocks := map[string]lockset.Mode{}
 				for id, m := range rewritten.Locks {
-					lr := pathRoot(id)
+					lr := lockset.PathRoot(id)
 					if caps[lr] {
-						if lc := info.res.canonName(lr); lc != "" {
-							id = rewriteRoot(id, lr, lc)
+						if lc := info.res.CanonName(lr); lc != "" {
+							id = lockset.RewriteRoot(id, lr, lc)
 						}
 					}
 					newLocks[id] = m
@@ -523,7 +495,7 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 	// other, since they are program-ordered on the spawner thread.
 	var spawnerAccs []*Access
 	for _, a := range sortedAccs(sums[name]) {
-		root := pathRoot(a.Path)
+		root := lockset.PathRoot(a.Path)
 		if escaped[root] || strings.HasPrefix(root, "static ") {
 			spawnerAccs = append(spawnerAccs, a)
 		}
@@ -531,9 +503,9 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 
 	var out []detect.Finding
 	emit := func(a, b *Access) {
-		root := pathRoot(a.Path)
+		root := lockset.PathRoot(a.Path)
 		if !escaped[root] && !strings.HasPrefix(root, "static ") &&
-			!escaped[pathRoot(b.Path)] && !strings.HasPrefix(pathRoot(b.Path), "static ") {
+			!escaped[lockset.PathRoot(b.Path)] && !strings.HasPrefix(lockset.PathRoot(b.Path), "static ") {
 			return
 		}
 		key := pairKey(a, b)
@@ -553,8 +525,8 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			Message: fmt.Sprintf("data race on %q: %s in %s is concurrent with %s in %s and no common lock protects them",
 				primary.Path, verb(primary), primary.Fn, verb(other), other.Fn),
 			Notes: []string{
-				fmt.Sprintf("first access: %s at %s holding %s", verb(primary), ctx.Fset.Position(primary.Span.Start), locksString(primary.Locks)),
-				fmt.Sprintf("second access: %s at %s holding %s", verb(other), ctx.Fset.Position(other.Span.Start), locksString(other.Locks)),
+				fmt.Sprintf("first access: %s at %s holding %s", verb(primary), ctx.Fset.Position(primary.Span.Start), lockset.LocksString(primary.Locks)),
+				fmt.Sprintf("second access: %s at %s holding %s", verb(other), ctx.Fset.Position(other.Span.Start), lockset.LocksString(other.Locks)),
 				fmt.Sprintf("the place escapes to another thread via the closure spawned in %s", name),
 			},
 		})
@@ -621,7 +593,7 @@ func conflicts(as, bs []*Access, selfPair bool, emit func(a, b *Access)) {
 func protected(a, b *Access) bool {
 	for id, am := range a.Locks {
 		if bm, ok := b.Locks[id]; ok {
-			if am == doublelock.ModeRead && bm == doublelock.ModeRead {
+			if am == lockset.ModeRead && bm == lockset.ModeRead {
 				continue
 			}
 			return true
@@ -653,84 +625,21 @@ func verb(a *Access) string {
 	}
 }
 
-func locksString(locks map[string]doublelock.Mode) string {
-	if len(locks) == 0 {
-		return "no locks"
-	}
-	ids := make([]string, 0, len(locks))
-	for id := range locks {
-		ids = append(ids, fmt.Sprintf("%s(%s)", id, locks[id]))
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, ", ")
-}
-
-// closureLocals maps locals holding a closure value to the closure body
-// name, propagated through moves so `let cl = || ...; spawn(cl)` resolves.
-func closureLocals(body *mir.Body) map[mir.LocalID]string {
-	out := map[mir.LocalID]string{}
-	changed := true
-	for changed {
-		changed = false
-		for _, blk := range body.Blocks {
-			for _, st := range blk.Stmts {
-				as, ok := st.(mir.Assign)
-				if !ok || !as.Place.IsLocal() {
-					continue
-				}
-				if _, done := out[as.Place.Local]; done {
-					continue
-				}
-				switch rv := as.Rvalue.(type) {
-				case mir.Aggregate:
-					if rv.Kind == mir.AggClosure {
-						out[as.Place.Local] = rv.Name
-						changed = true
-					}
-				case mir.Use:
-					if pl, ok := mir.OperandPlace(rv.X); ok && pl.IsLocal() {
-						if cn, has := out[pl.Local]; has {
-							out[as.Place.Local] = cn
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-func paramNames(body *mir.Body) []string {
-	if body == nil {
-		return nil
-	}
-	out := make([]string, 0, body.ArgCount)
-	for i := 1; i <= body.ArgCount && i < len(body.Locals); i++ {
-		out = append(out, body.Locals[i].Name)
-	}
-	return out
-}
-
-func methodName(callee string) string {
-	if i := strings.LastIndex(callee, "::"); i >= 0 {
-		return callee[i+2:]
-	}
-	return callee
-}
-
 func isStaticLocal(body *mir.Body, l mir.LocalID) bool {
 	return int(l) < len(body.Locals) && strings.HasPrefix(body.Locals[l].Name, "static ")
 }
 
-func resolvedCallee(ctx *detect.Context, c mir.Call) string {
-	if c.Def != nil {
-		if _, ok := ctx.Bodies[c.Def.Qualified]; ok {
-			return c.Def.Qualified
-		}
+// overlap reports whether two canonical paths may name overlapping
+// storage: equal, or one a field/index extension of the other.
+func overlap(a, b string) bool {
+	if a == b {
+		return true
 	}
-	if _, ok := ctx.Bodies[c.Callee]; ok {
-		return c.Callee
+	if strings.HasPrefix(a, b) && (a[len(b)] == '.' || a[len(b)] == '[') {
+		return true
 	}
-	return ""
+	if strings.HasPrefix(b, a) && (b[len(a)] == '.' || b[len(a)] == '[') {
+		return true
+	}
+	return false
 }

@@ -13,14 +13,18 @@ import (
 	"sync"
 	"testing"
 
+	"rustprobe/internal/cfg"
+	"rustprobe/internal/corpus"
 	"rustprobe/internal/detect"
 	"rustprobe/internal/detect/blocking"
 	"rustprobe/internal/detect/dfree"
 	"rustprobe/internal/detect/doublelock"
+	"rustprobe/internal/detect/lockset"
 	"rustprobe/internal/detect/uaf"
 	"rustprobe/internal/detect/uninit"
 	"rustprobe/internal/lower"
 	"rustprobe/internal/parser"
+	"rustprobe/internal/pointsto"
 	"rustprobe/internal/resolve"
 	"rustprobe/internal/source"
 )
@@ -134,8 +138,8 @@ func runPreciseSuite(ctx *detect.Context) string {
 
 // blockingStateSrc plants two §6.1 blocking bugs (an orphaned recv and a
 // condvar wait with no notifier) next to a double-lock, so the blocking
-// detector and the lockset machinery it borrows (doublelock.Guards /
-// LiveGuards) both have real work to do on the shared Context.
+// detector and the lock facts it shares with doublelock (ctx.Locks /
+// ctx.Paths) both have real work to do on the shared Context.
 const blockingStateSrc = `
 fn poll() -> i32 {
     let (tx, rx) = mpsc::channel();
@@ -169,8 +173,8 @@ func formatFindings(fs []detect.Finding) string {
 
 // TestBlockingDetectorPureUnderParallelFanout is the shared-state audit
 // entry for the §6.1 blocking detector: under the parallel detector
-// fan-out (concurrent blocking runs interleaved with doublelock, whose
-// guard analysis blocking reuses, all over ONE Context) every run must
+// fan-out (concurrent blocking runs interleaved with doublelock, which
+// reads the same memoized guard analysis, all over ONE Context) every run must
 // see identical findings, and the Context's shared dropflow caches must
 // come through untouched.
 func TestBlockingDetectorPureUnderParallelFanout(t *testing.T) {
@@ -247,5 +251,61 @@ func TestDefaultAndPreciseShareContextSafely(t *testing.T) {
 	// Precise findings must be a subset of default findings.
 	if strings.Count(precise, "\n") > len(def) {
 		t.Fatalf("precise produced more findings (%d) than default (%d)", strings.Count(precise, "\n"), len(def))
+	}
+}
+
+// TestContextMemoSharedUnderConcurrency: the per-function memo on a
+// Context hands every concurrent caller one value per function. Eight
+// goroutines race CFG, Locks, Paths and PointsTo over every function of
+// the patterns corpus; each must see the pointers the first caller
+// stored, so detectors in one fan-out share one copy of each fact.
+func TestContextMemoSharedUnderConcurrency(t *testing.T) {
+	prog, diags, err := corpus.Load(corpus.GroupPatterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := detect.NewContext(prog, lower.Program(prog, diags))
+	names := ctx.Graph.Names()
+	if len(names) == 0 {
+		t.Fatal("patterns corpus lowered no functions")
+	}
+	type facts struct {
+		cfg   *cfg.Graph
+		locks *lockset.Locks
+		paths *lockset.Resolver
+		pts   *pointsto.Result
+	}
+	const workers = 8
+	seen := make([][]facts, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got := make([]facts, len(names))
+			for i := range names {
+				// Each worker walks the functions from a different offset
+				// so first computations interleave across goroutines.
+				j := (i + w*len(names)/workers) % len(names)
+				n := names[j]
+				if w%2 == 0 {
+					got[j] = facts{ctx.CFG(n), ctx.Locks(n), ctx.Paths(n), ctx.PointsTo(n)}
+				} else {
+					// Paths first: it computes the other three itself.
+					p := ctx.Paths(n)
+					got[j] = facts{ctx.CFG(n), ctx.Locks(n), p, ctx.PointsTo(n)}
+				}
+			}
+			seen[w] = got
+		}(w)
+	}
+	wg.Wait()
+	for i, n := range names {
+		want := facts{ctx.CFG(n), ctx.Locks(n), ctx.Paths(n), ctx.PointsTo(n)}
+		for w := range seen {
+			if seen[w][i] != want {
+				t.Fatalf("worker %d saw a different %s fact set than the memo holds", w, n)
+			}
+		}
 	}
 }

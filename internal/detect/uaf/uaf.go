@@ -13,7 +13,6 @@ package uaf
 import (
 	"fmt"
 
-	"rustprobe/internal/cfg"
 	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
 	"rustprobe/internal/dropflow"
@@ -130,7 +129,7 @@ func scanDerefParams(ctx *detect.Context, name string, get summary.Lookup[map[in
 		}
 		if c, ok := blk.Term.(mir.Call); ok {
 			// Propagate callee summaries.
-			calleeName := resolvedCallee(ctx, c)
+			calleeName := ctx.Callee(c)
 			if calleeName != "" {
 				callee, _ := get(calleeName)
 				for i := range callee {
@@ -161,23 +160,11 @@ func scanDerefParams(ctx *detect.Context, name string, get summary.Lookup[map[in
 	return s
 }
 
-func resolvedCallee(ctx *detect.Context, c mir.Call) string {
-	if c.Def != nil {
-		if _, ok := ctx.Bodies[c.Def.Qualified]; ok {
-			return c.Def.Qualified
-		}
-	}
-	if _, ok := ctx.Bodies[c.Callee]; ok {
-		return c.Callee
-	}
-	return ""
-}
-
 // checkFunction runs the flow-sensitive dead-storage analysis and reports
 // dereferences of may-dead storage.
 func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[string]map[int]bool) []detect.Finding {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
+	g := ctx.CFG(name)
 	pts := ctx.PointsTo(name)
 	n := len(body.Locals)
 
@@ -309,7 +296,7 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 					continue
 				}
 				derefs := false
-				if calleeName := resolvedCallee(ctx, c); calleeName != "" {
+				if calleeName := ctx.Callee(c); calleeName != "" {
 					derefs = sums[calleeName][argIdx]
 				} else if c.Intrinsic == mir.IntrinsicNone {
 					// Unknown external callee: assume raw pointers are

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"rustprobe/internal/detect/lockset"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
 	"rustprobe/internal/types"
@@ -62,51 +63,9 @@ func Annotate(body *mir.Body, fset *source.FileSet) []Event {
 		return pos.Line
 	}
 
-	// Map guard-holding locals to their lock identity (propagated through
-	// moves and unwrap like the double-lock detector).
-	guardOf := map[mir.LocalID]string{}
-	changed := true
-	for changed {
-		changed = false
-		for _, blk := range body.Blocks {
-			for _, st := range blk.Stmts {
-				if as, ok := st.(mir.Assign); ok && as.Place.IsLocal() {
-					if use, ok := as.Rvalue.(mir.Use); ok {
-						if pl, ok := mir.OperandPlace(use.X); ok && pl.IsLocal() {
-							if id, has := guardOf[pl.Local]; has {
-								if _, dup := guardOf[as.Place.Local]; !dup {
-									guardOf[as.Place.Local] = id
-									changed = true
-								}
-							}
-						}
-					}
-				}
-			}
-			if c, ok := blk.Term.(mir.Call); ok && c.Dest.IsLocal() {
-				switch c.Intrinsic {
-				case mir.IntrinsicLock, mir.IntrinsicRead, mir.IntrinsicWrite:
-					if c.RecvPath != "" {
-						if _, dup := guardOf[c.Dest.Local]; !dup {
-							guardOf[c.Dest.Local] = c.RecvPath
-							changed = true
-						}
-					}
-				case mir.IntrinsicUnwrap:
-					if len(c.Args) > 0 {
-						if pl, ok := mir.OperandPlace(c.Args[0]); ok && pl.IsLocal() {
-							if id, has := guardOf[pl.Local]; has {
-								if _, dup := guardOf[c.Dest.Local]; !dup {
-									guardOf[c.Dest.Local] = id
-									changed = true
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	// Guard-holding locals and their lock identity, as the lock detectors
+	// see them.
+	guards := lockset.Guards(body)
 
 	describe := func(l mir.LocalID) string {
 		loc := body.Local(l)
@@ -150,9 +109,9 @@ func Annotate(body *mir.Body, fset *source.FileSet) []Event {
 				continue
 			}
 			l := term.Place.Local
-			if id, isGuard := guardOf[l]; isGuard {
+			if g, isGuard := guards[l]; isGuard {
 				add(Event{Kind: EventRelease, Line: endLineOf(term.Span),
-					Detail: fmt.Sprintf("implicit unlock of %s (guard %s)", id, describe(l))})
+					Detail: fmt.Sprintf("implicit unlock of %s (guard %s)", g.Lock, describe(l))})
 				continue
 			}
 			if types.IsOwningContainer(body.Local(l).Ty) || body.Local(l).Name != "" {

@@ -117,3 +117,22 @@ fn g() {
 		t.Errorf("drop/storage events missing: %+v", events)
 	}
 }
+
+// TestTryLockGuardReleaseIsImplicitUnlock: a try_lock guard unlocks when
+// it dies, like any other guard, so its end renders as an implicit
+// unlock, not as a plain drop.
+func TestTryLockGuardReleaseIsImplicitUnlock(t *testing.T) {
+	body, fset := lowerFn(t, `
+fn h(A: Mutex<i32>) {
+    let g = A.try_lock().unwrap();
+    work(*g);
+}
+`, "h")
+	events := Annotate(body, fset)
+	for _, e := range events {
+		if e.Kind == EventRelease && e.Detail == "implicit unlock of A (guard g)" {
+			return
+		}
+	}
+	t.Errorf("no implicit unlock of A (guard g): %+v", events)
+}
